@@ -995,10 +995,6 @@ std::optional<std::string> readTextFile(const std::string &path,
 int
 cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto store = loadTraceStore(args, err);
-    if (!store)
-        return 1;
-    auto jobs = std::move(*store).materialize();
     clustersim::SchedulerConfig cfg;
     cfg.num_servers =
         static_cast<int>(args.numFlag("servers", 64));
@@ -1087,14 +1083,24 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
         };
     }
 
+    // Validate the cluster and the stream before reading the trace:
+    // both throw invalid_argument on out-of-range flags.
+    core::AnalyticalModel model(hw::paiCluster());
+    clustersim::ClusterScheduler sched(cfg, model);
+    constexpr double kStepsMedian = 2000.0, kStepsSigma = 1.2;
+    constexpr uint64_t kStreamSeed = 20181201;
+    clustersim::poissonRequests({}, rate, kStepsMedian, kStepsSigma,
+                                kStreamSeed);
+
+    auto store = loadTraceStore(args, err);
+    if (!store)
+        return 1;
+    auto jobs = std::move(*store).materialize();
     // Clamp jobs to the cluster and build a submission stream.
     for (auto &j : jobs)
         j.num_cnodes = std::min(j.num_cnodes, cfg.num_servers);
     auto requests = clustersim::poissonRequests(
-        jobs, rate, 2000.0, 1.2, 20181201);
-
-    core::AnalyticalModel model(hw::paiCluster());
-    clustersim::ClusterScheduler sched(cfg, model);
+        jobs, rate, kStepsMedian, kStepsSigma, kStreamSeed);
     auto result = sched.run(requests);
     out << "scheduled " << result.jobs.size() << " jobs on "
         << cfg.num_servers << " servers ("
@@ -1319,21 +1325,23 @@ dispatch(const std::string &cmd, const Args &args, std::ostream &out,
         return cmdDiagnose(args, out, err);
     if (cmd == "plan")
         return cmdPlan(args, out, err);
-    if (cmd == "serve" || cmd == "capacity") {
-        // The fleet layer validates by throwing invalid_argument,
-        // and its bad values (qps, requests, max-batch, ...) come
-        // straight from the flags: report them as CLI errors
-        // instead of letting the exception abort the process.
+    if (cmd == "serve" || cmd == "capacity" || cmd == "schedule") {
+        // The fleet layer and the cluster scheduler validate by
+        // throwing invalid_argument, and their bad values (qps,
+        // requests, max-batch, servers, rate, ...) come straight from
+        // the flags: report them as CLI errors instead of letting the
+        // exception abort the process.
         try {
-            return cmd == "serve" ? cmdServe(args, out, err)
-                                  : cmdCapacity(args, out, err);
+            if (cmd == "serve")
+                return cmdServe(args, out, err);
+            if (cmd == "capacity")
+                return cmdCapacity(args, out, err);
+            return cmdSchedule(args, out, err);
         } catch (const std::invalid_argument &e) {
             err << "error: " << e.what() << "\n";
             return 1;
         }
     }
-    if (cmd == "schedule")
-        return cmdSchedule(args, out, err);
     if (cmd == "obs")
         return cmdObs(args, out, err);
     return std::nullopt;

@@ -1,11 +1,18 @@
 #include "scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <map>
 #include <optional>
+#include <queue>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "hw/hardware_config.h"
 #include "obs/job_log.h"
@@ -71,20 +78,49 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /** (server index, gpus taken) pairs of one job's allocation. */
 using Allocation = std::vector<std::pair<int, int>>;
 
-/** Mutable cluster capacity. */
+/**
+ * Mutable cluster capacity. Besides each server's free GPUs it keeps
+ * servers_with[nvlink][k], the number of servers of each kind with
+ * exactly k free GPUs, so "does any server of this kind have g free?"
+ * is an O(gpus_per_server) count instead of an O(servers) scan. The
+ * count answers feasibility exactly, so callers reject with it before
+ * scanning and every placement they do make is unchanged.
+ */
 struct Capacity
 {
     std::vector<int> free_gpus;
     std::vector<bool> nvlink;
     /** Per-server generation speed factor (1.0 = Table I). */
     std::vector<double> speed;
+    std::array<std::vector<int>, 2> servers_with;
+    int64_t total_free = 0;
+
+    Capacity(int num_servers, int gpus_per_server)
+        : free_gpus(static_cast<size_t>(num_servers), gpus_per_server),
+          nvlink(static_cast<size_t>(num_servers), false),
+          speed(static_cast<size_t>(num_servers), 1.0)
+    {
+    }
+
+    /** Build the free-GPU counts; call once the nvlink flags are set. */
+    void
+    countServers(int gpus_per_server)
+    {
+        for (auto &counts : servers_with)
+            counts.assign(static_cast<size_t>(gpus_per_server) + 1, 0);
+        total_free = 0;
+        for (size_t s = 0; s < free_gpus.size(); ++s) {
+            ++servers_with[nvlink[s]][static_cast<size_t>(free_gpus[s])];
+            total_free += free_gpus[s];
+        }
+    }
 
     void
     take(const Allocation &alloc)
     {
         for (auto [s, g] : alloc) {
-            free_gpus[static_cast<size_t>(s)] -= g;
-            assert(free_gpus[static_cast<size_t>(s)] >= 0);
+            assert(free_gpus[static_cast<size_t>(s)] >= g);
+            adjust(static_cast<size_t>(s), -g);
         }
     }
 
@@ -92,7 +128,24 @@ struct Capacity
     release(const Allocation &alloc)
     {
         for (auto [s, g] : alloc)
-            free_gpus[static_cast<size_t>(s)] += g;
+            adjust(static_cast<size_t>(s), g);
+    }
+
+    /**
+     * Servers with at least @p gpus free GPUs, counting only NVLink
+     * servers when @p nvlink_only.
+     */
+    int
+    serversWithAtLeast(int gpus, bool nvlink_only) const
+    {
+        int n = 0;
+        for (size_t k = static_cast<size_t>(std::max(gpus, 0));
+             k < servers_with[1].size(); ++k) {
+            n += servers_with[1][k];
+            if (!nvlink_only)
+                n += servers_with[0][k];
+        }
+        return n;
     }
 
     /** Slowest generation among @p alloc's servers. */
@@ -105,6 +158,17 @@ struct Capacity
             v = std::min(v, speed[static_cast<size_t>(s)]);
         }
         return v;
+    }
+
+  private:
+    void
+    adjust(size_t s, int delta)
+    {
+        auto &counts = servers_with[nvlink[s]];
+        --counts[static_cast<size_t>(free_gpus[s])];
+        free_gpus[s] += delta;
+        ++counts[static_cast<size_t>(free_gpus[s])];
+        total_free += delta;
     }
 };
 
@@ -119,6 +183,8 @@ bool
 findOneServer(const Capacity &cap, int gpus, bool need_nvlink,
               PlacementStrategy strategy, Allocation *alloc)
 {
+    if (cap.serversWithAtLeast(gpus, need_nvlink) == 0)
+        return false;
     if (strategy == PlacementStrategy::BestFit) {
         // (prefer non-NVLink when allowed, leftover, -speed, index)
         int best = -1;
@@ -182,6 +248,8 @@ findSpreadServers(const Capacity &cap, int count,
                   PlacementStrategy strategy, Allocation *alloc)
 {
     alloc->clear();
+    if (cap.serversWithAtLeast(1, false) < count)
+        return false;
     if (strategy == PlacementStrategy::BestFit) {
         std::vector<int> candidates;
         for (size_t s = 0; s < cap.free_gpus.size(); ++s) {
@@ -242,6 +310,11 @@ findFor(const Capacity &cap, const TrainingJob &job,
         // Whole NVLink servers, packed.
         int need = job.num_cnodes;
         alloc->clear();
+        if (cap.serversWithAtLeast(cfg.gpus_per_server, true) *
+                cfg.gpus_per_server <
+            need) {
+            return false;
+        }
         for (size_t s = 0; s < cap.free_gpus.size() && need > 0;
              ++s) {
             if (!cap.nvlink[s] ||
@@ -266,19 +339,120 @@ predictionDriven(Policy p)
            p == Policy::Gang;
 }
 
+/**
+ * The spf queue: queued requests ordered by (predicted remaining
+ * seconds, arrival index), split into shapes. A shape groups the
+ * jobs whose placement feasibility is the same function of capacity
+ * (the port-or-plain path, the planned arch and cNodes), so when a
+ * shape's head does not fit, none of its jobs fits either.
+ */
+class SpfQueue
+{
+  public:
+    using Entry = std::pair<double, size_t>; // (predicted s, request)
+
+    explicit SpfQueue(size_t num_requests) : shape_of_(num_requests) {}
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    void
+    push(const std::tuple<bool, int, int> &shape_key, Entry e)
+    {
+        auto [it, fresh] = shape_ids_.try_emplace(shape_key,
+                                                  shapes_.size());
+        if (fresh)
+            shapes_.emplace_back();
+        shapes_[it->second].insert(e);
+        shape_of_[e.second] = it->second;
+        ++size_;
+    }
+
+    void
+    erase(Entry e)
+    {
+        shapes_[shape_of_[e.second]].erase(e);
+        --size_;
+    }
+
+    /** The queue-wide smallest entry; the queue must be non-empty. */
+    Entry
+    front() const
+    {
+        Entry best{kInf, std::numeric_limits<size_t>::max()};
+        for (const auto &shape : shapes_) {
+            if (!shape.empty())
+                best = std::min(best, *shape.begin());
+        }
+        return best;
+    }
+
+    /**
+     * One pass in queue order: offer each shape's head to @p place
+     * (true = placed and dequeued), smallest head first. A head that
+     * does not fit drops its whole shape for the rest of the pass;
+     * capacity only shrinks during a pass, so it could not fit later
+     * either.
+     */
+    template <typename Place>
+    void
+    pass(Place &&place)
+    {
+        using Head = std::pair<Entry, size_t>; // (head, shape)
+        std::priority_queue<Head, std::vector<Head>, std::greater<>>
+            heads;
+        for (size_t shape = 0; shape < shapes_.size(); ++shape) {
+            if (!shapes_[shape].empty())
+                heads.push({*shapes_[shape].begin(), shape});
+        }
+        while (!heads.empty()) {
+            auto [e, shape] = heads.top();
+            heads.pop();
+            if (!place(e.second))
+                continue;
+            erase(e);
+            if (!shapes_[shape].empty())
+                heads.push({*shapes_[shape].begin(), shape});
+        }
+    }
+
+  private:
+    std::map<std::tuple<bool, int, int>, size_t> shape_ids_;
+    std::vector<std::set<Entry>> shapes_;
+    /** Shape of each queued request, by request index. */
+    std::vector<size_t> shape_of_;
+    size_t size_ = 0;
+};
+
 } // namespace
 
 ClusterScheduler::ClusterScheduler(const SchedulerConfig &cfg,
                                    const core::AnalyticalModel &model)
     : cfg_(cfg), model_(model)
 {
-    assert(cfg_.num_servers >= 1);
-    assert(cfg_.gpus_per_server >= 1);
-    assert(cfg_.nvlink_fraction >= 0.0 && cfg_.nvlink_fraction <= 1.0);
-    assert(cfg_.old_gen_fraction >= 0.0 &&
-           cfg_.old_gen_fraction <= 1.0);
-    assert(cfg_.preempt_ratio > 1.0 &&
-           "preempt_ratio <= 1 does not terminate");
+    // The config comes straight from user flags: reject it with real
+    // errors, which survive release builds. The negated comparisons
+    // also reject NaN.
+    auto require = [](bool ok, const std::string &what) {
+        if (!ok)
+            throw std::invalid_argument("ClusterScheduler: " + what);
+    };
+    require(cfg_.num_servers >= 1,
+            "num_servers must be >= 1, got " +
+                std::to_string(cfg_.num_servers));
+    require(cfg_.gpus_per_server >= 1,
+            "gpus_per_server must be >= 1, got " +
+                std::to_string(cfg_.gpus_per_server));
+    require(cfg_.nvlink_fraction >= 0.0 && cfg_.nvlink_fraction <= 1.0,
+            "nvlink_fraction must be in [0, 1], got " +
+                std::to_string(cfg_.nvlink_fraction));
+    require(cfg_.old_gen_fraction >= 0.0 &&
+                cfg_.old_gen_fraction <= 1.0,
+            "old_gen_fraction must be in [0, 1], got " +
+                std::to_string(cfg_.old_gen_fraction));
+    require(cfg_.preempt_ratio > 1.0,
+            "preempt_ratio must be > 1 (preemption does not terminate "
+            "otherwise), got " + std::to_string(cfg_.preempt_ratio));
 }
 
 bool
@@ -319,11 +493,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                          return a.submit_time < b.submit_time;
                      });
 
-    Capacity cap;
-    cap.free_gpus.assign(static_cast<size_t>(cfg_.num_servers),
-                         cfg_.gpus_per_server);
-    cap.nvlink.assign(static_cast<size_t>(cfg_.num_servers), false);
-    cap.speed.assign(static_cast<size_t>(cfg_.num_servers), 1.0);
+    Capacity cap(cfg_.num_servers, cfg_.gpus_per_server);
     int nvl_servers = static_cast<int>(cfg_.num_servers *
                                        cfg_.nvlink_fraction);
     for (int s = 0; s < nvl_servers; ++s)
@@ -344,6 +514,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         cap.speed[s] = g.speed;
         cap.nvlink[s] = cap.nvlink[s] && g.has_nvlink;
     }
+    cap.countServers(cfg_.gpus_per_server);
 
     // Completion events run on a sharded discrete-event engine: a
     // job's finish event lives on the shard of its first allocated
@@ -407,10 +578,17 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
 
     ClusterOutcome out;
     out.jobs.reserve(requests.size());
-    std::deque<size_t> pending; // indices into requests
+    // Queued requests (indices into requests): arrival order for fifo,
+    // backfill and gang, the shape-split index for spf and
+    // spf-preempt.
+    const bool spf_order = cfg_.policy == Policy::Spf ||
+                           cfg_.policy == Policy::SpfPreempt;
+    std::deque<size_t> pending;
+    SpfQueue spf_queue(requests.size());
     size_t arrival = 0;
     double now = 0.0;
     double gpu_seconds = 0.0;
+    int running = 0; // active slots
 
     // Refresh the timeline level probes with the control loop's view
     // of the cluster at `now`. Last-set-wins within a window, so the
@@ -419,15 +597,10 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     auto sampleLevels = [&] {
         if (!tl)
             return;
-        tl_pending->set(static_cast<double>(pending.size()));
-        int running = 0;
-        for (const Slot &sl : slots)
-            running += sl.active ? 1 : 0;
+        tl_pending->set(
+            static_cast<double>(pending.size() + spf_queue.size()));
         tl_running->set(static_cast<double>(running));
-        int64_t free_g = 0;
-        for (int g : cap.free_gpus)
-            free_g += g;
-        tl_free_gpus->set(static_cast<double>(free_g));
+        tl_free_gpus->set(static_cast<double>(cap.total_free));
     };
 
     // As-submitted step times are pure per-job model evaluations:
@@ -481,6 +654,31 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     std::vector<std::optional<TrainingJob>> pinned_exec(
         requests.size());
 
+    // A first start of an eligible PS/Worker job tries an
+    // AllReduce-Local port before its own placement.
+    auto portable = [&](const TrainingJob &job) {
+        return cfg_.port_ps_to_allreduce &&
+               job.arch == ArchType::PsWorker &&
+               job.features.weightBytes() <= cfg_.gpu_memory_bytes;
+    };
+
+    // Queue a request under the policy's order. Its spf shape is what
+    // tryPlace() searches for: a restart's pinned plan, else the job
+    // as submitted plus whether it may port. Pinned and unpinned
+    // plans of one arch and size search identically.
+    auto enqueue = [&](size_t req_index) {
+        if (!spf_order) {
+            pending.push_back(req_index);
+            return;
+        }
+        const TrainingJob &job = pinned_exec[req_index]
+                                     ? *pinned_exec[req_index]
+                                     : requests[req_index].job;
+        bool port = !pinned_exec[req_index] && portable(job);
+        spf_queue.push({port, static_cast<int>(job.arch), job.num_cnodes},
+                       {pred_remaining[req_index], req_index});
+    };
+
     auto emitJobRecord = [&](size_t req_index, const JobOutcome &jo,
                              const TrainingJob &executed,
                              int server) {
@@ -526,35 +724,31 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         ++attempts[req_index];
         const TrainingJob &job = req.job;
         Allocation alloc;
-        TrainingJob executed = job;
-        bool ported = false;
+        // The plan to execute; a ported plan is built only once its
+        // placement is found.
+        const TrainingJob *plan = &job;
+        std::optional<TrainingJob> ported_plan;
 
         if (pinned_exec[req_index]) {
             // Restart after preemption: resume the recorded plan.
-            executed = *pinned_exec[req_index];
-            ported = executed.arch != job.arch;
-            if (!findFor(cap, executed, cfg_, &alloc)) {
-                placement_failures.add();
-                return false;
-            }
-        } else {
-            if (cfg_.port_ps_to_allreduce &&
-                job.arch == ArchType::PsWorker &&
-                job.features.weightBytes() <= cfg_.gpu_memory_bytes) {
-                int n = std::min(job.num_cnodes, cfg_.gpus_per_server);
-                if (findOneServer(cap, n, /*need_nvlink=*/true,
-                                  cfg_.placement, &alloc)) {
-                    executed.arch = ArchType::AllReduceLocal;
-                    executed.num_cnodes = n;
-                    executed.num_ps = 0;
-                    ported = true;
-                }
-            }
-            if (!ported && !findFor(cap, job, cfg_, &alloc)) {
-                placement_failures.add();
-                return false;
+            plan = &*pinned_exec[req_index];
+        } else if (portable(job)) {
+            int n = std::min(job.num_cnodes, cfg_.gpus_per_server);
+            if (findOneServer(cap, n, /*need_nvlink=*/true,
+                              cfg_.placement, &alloc)) {
+                ported_plan.emplace(job);
+                ported_plan->arch = ArchType::AllReduceLocal;
+                ported_plan->num_cnodes = n;
+                ported_plan->num_ps = 0;
+                plan = &*ported_plan;
             }
         }
+        if (!ported_plan && !findFor(cap, *plan, cfg_, &alloc)) {
+            placement_failures.add();
+            return false;
+        }
+        const TrainingJob &executed = *plan;
+        bool ported = executed.arch != job.arch;
 
         cap.take(alloc);
         double base_step = ported ? model_.stepTime(executed)
@@ -623,6 +817,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                     : now + runtime;
             sl.gpus = gpus;
             sl.active = true;
+            ++running;
             uint64_t gen = ++sl.gen;
             int shard = sl.alloc.front().first % engine.numShards();
             engine.schedule(shard, now + runtime,
@@ -704,12 +899,54 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                 pred_per_step[sl.req] * static_cast<double>(left);
         }
         pinned_exec[sl.req] = sl.executed;
-        pending.push_back(sl.req);
+        enqueue(sl.req);
 
         ++sl.gen; // invalidate the in-flight completion event
         sl.active = false;
+        --running;
         sl.alloc.clear();
         free_slots.push_back(slot);
+    };
+
+    // Nothing fits: let the queue head @p head preempt the running
+    // jobs with the longest predicted remaining time, one at a time,
+    // while the imbalance is worth a restart. True once the head is
+    // placed (and dequeued).
+    auto preemptFor = [&](SpfQueue::Entry head) -> bool {
+        while (true) {
+            size_t victim = static_cast<size_t>(-1);
+            double victim_rem = -1.0;
+            for (size_t s = 0; s < slots.size(); ++s) {
+                const Slot &sl = slots[s];
+                if (!sl.active)
+                    continue;
+                if (out.jobs[sl.out].preemptions >=
+                    cfg_.max_preemptions) {
+                    continue;
+                }
+                auto done = static_cast<int64_t>(std::floor(
+                    (now - sl.seg_start) / sl.step_s + 1e-9));
+                done = std::clamp<int64_t>(done, 0, sl.steps_left - 1);
+                double rem = pred_per_step[sl.req] *
+                             static_cast<double>(sl.steps_left - done);
+                if (rem > victim_rem ||
+                    (rem == victim_rem &&
+                     victim != static_cast<size_t>(-1) &&
+                     sl.out < slots[victim].out)) {
+                    victim = s;
+                    victim_rem = rem;
+                }
+            }
+            if (victim == static_cast<size_t>(-1) ||
+                victim_rem <= cfg_.preempt_ratio * head.first) {
+                return false;
+            }
+            preempt(victim);
+            if (tryPlace(head.second)) {
+                spf_queue.erase(head);
+                return true;
+            }
+        }
     };
 
     // One scheduling pass over the queue at time `now`, under the
@@ -777,76 +1014,15 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
           }
           case Policy::Spf:
           case Policy::SpfPreempt: {
-            bool progress = true;
-            while (progress && !pending.empty()) {
-                progress = false;
-                std::vector<size_t> order(pending.begin(),
-                                          pending.end());
-                std::sort(order.begin(), order.end(),
-                          [&](size_t a, size_t b) {
-                              if (pred_remaining[a] !=
-                                  pred_remaining[b]) {
-                                  return pred_remaining[a] <
-                                         pred_remaining[b];
-                              }
-                              return a < b;
-                          });
-                for (size_t req : order) {
-                    if (tryPlace(req)) {
-                        pending.erase(std::find(pending.begin(),
-                                                pending.end(), req));
-                        progress = true;
-                        break;
-                    }
-                }
-                if (progress ||
-                    cfg_.policy != Policy::SpfPreempt ||
-                    order.empty()) {
-                    continue;
-                }
-                // Nothing fits. Let the shortest queued job preempt
-                // the running job with the longest predicted
-                // remaining time, when the imbalance is worth a
-                // restart.
-                size_t head = order.front();
-                while (true) {
-                    size_t victim = static_cast<size_t>(-1);
-                    double victim_rem = -1.0;
-                    for (size_t s = 0; s < slots.size(); ++s) {
-                        const Slot &sl = slots[s];
-                        if (!sl.active)
-                            continue;
-                        if (out.jobs[sl.out].preemptions >=
-                            cfg_.max_preemptions) {
-                            continue;
-                        }
-                        auto done = static_cast<int64_t>(std::floor(
-                            (now - sl.seg_start) / sl.step_s + 1e-9));
-                        done = std::clamp<int64_t>(
-                            done, 0, sl.steps_left - 1);
-                        double rem =
-                            pred_per_step[sl.req] *
-                            static_cast<double>(sl.steps_left - done);
-                        if (rem > victim_rem ||
-                            (rem == victim_rem &&
-                             victim != static_cast<size_t>(-1) &&
-                             sl.out < slots[victim].out)) {
-                            victim = s;
-                            victim_rem = rem;
-                        }
-                    }
-                    if (victim == static_cast<size_t>(-1) ||
-                        victim_rem <= cfg_.preempt_ratio *
-                                          pred_remaining[head]) {
-                        break;
-                    }
-                    preempt(victim);
-                    if (tryPlace(head)) {
-                        pending.erase(std::find(pending.begin(),
-                                                pending.end(), head));
-                        progress = true;
-                        break;
-                    }
+            // One pass places every job that fits, in queue order.
+            // Nothing fits afterwards, which is where spf-preempt may
+            // free capacity for the queue head; a head placed that way
+            // changes capacity, so another pass follows.
+            while (true) {
+                spf_queue.pass(tryPlace);
+                if (cfg_.policy != Policy::SpfPreempt ||
+                    spf_queue.empty() || !preemptFor(spf_queue.front())) {
+                    break;
                 }
             }
             break;
@@ -855,6 +1031,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     };
 
     while (arrival < requests.size() || !pending.empty() ||
+           !spf_queue.empty() ||
            engine.pending() > 0) {
         // Admit all submissions up to `now`, dropping jobs the
         // cluster can never host (e.g. more cNodes than NVLink
@@ -864,7 +1041,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         while (arrival < requests.size() &&
                requests[arrival].submit_time <= now) {
             if (placeable(requests[arrival].job)) {
-                pending.push_back(arrival);
+                enqueue(arrival);
                 if (tl_arrivals)
                     tl_arrivals->add();
             } else {
@@ -930,6 +1107,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                                   ? -1
                                   : sl.alloc.front().first);
                 sl.active = false;
+                --running;
                 sl.alloc.clear();
                 free_slots.push_back(slot);
             }
@@ -939,7 +1117,8 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     }
     // Every admitted job is placeable on an empty cluster, so the
     // queue always drains once the running set does.
-    assert(pending.empty() && "placeable job starved the queue");
+    assert(pending.empty() && spf_queue.empty() &&
+           "placeable job starved the queue");
 
     // Aggregate metrics.
     obs::counter("clustersim.jobs_scheduled").add(out.jobs.size());
@@ -971,8 +1150,17 @@ poissonRequests(const std::vector<TrainingJob> &jobs,
                 double jobs_per_hour, double steps_median,
                 double steps_sigma, uint64_t seed)
 {
-    assert(jobs_per_hour > 0.0);
-    assert(steps_median >= 1.0 && steps_sigma >= 0.0);
+    if (!(jobs_per_hour > 0.0) || !std::isfinite(jobs_per_hour)) {
+        throw std::invalid_argument(
+            "poissonRequests: jobs_per_hour must be positive and "
+            "finite, got " + std::to_string(jobs_per_hour));
+    }
+    if (!(steps_median >= 1.0) || !std::isfinite(steps_median) ||
+        !(steps_sigma >= 0.0) || !std::isfinite(steps_sigma)) {
+        throw std::invalid_argument(
+            "poissonRequests: steps_median must be >= 1 and "
+            "steps_sigma >= 0, both finite");
+    }
     stats::Rng rng(seed);
     std::vector<JobRequest> requests;
     requests.reserve(jobs.size());

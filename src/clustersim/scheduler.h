@@ -255,6 +255,9 @@ class ClusterScheduler
      * @param cfg   Cluster shape and policy.
      * @param model Analytical model supplying per-step times; its
      *              ClusterSpec must match the per-server hardware.
+     * @throws std::invalid_argument when @p cfg is out of range (no
+     *         servers or GPUs, a fraction outside [0, 1] or NaN, or
+     *         preempt_ratio <= 1), in release builds too.
      */
     ClusterScheduler(const SchedulerConfig &cfg,
                      const core::AnalyticalModel &model);
@@ -282,6 +285,9 @@ class ClusterScheduler
  * @param steps_median   Median job length in steps.
  * @param steps_sigma    Lognormal sigma of the length.
  * @param seed           Arrival/length randomness seed.
+ * @throws std::invalid_argument unless jobs_per_hour is positive and
+ *         finite, steps_median >= 1 and steps_sigma >= 0 (NaN is
+ *         rejected).
  */
 std::vector<JobRequest>
 poissonRequests(const std::vector<workload::TrainingJob> &jobs,

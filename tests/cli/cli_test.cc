@@ -522,6 +522,29 @@ TEST_F(CliWithTraceTest, ScheduleHistoryPredictorsRequireHistory)
     EXPECT_NE(q.err.find("--quantile"), std::string::npos) << q.err;
 }
 
+TEST_F(CliWithTraceTest, ScheduleRejectsOutOfRangeInputsBeforeWork)
+{
+    // These used to die on assert() (or run undefined under NDEBUG).
+    const std::vector<std::vector<std::string>> bad{
+        {"--rate", "0"},        {"--rate", "nan"},
+        {"--rate", "-1"},       {"--servers", "0"},
+        {"--nvlink-frac", "2"}, {"--nvlink-frac", "nan"}};
+    for (const auto &flags : bad) {
+        std::vector<std::string> argv{"schedule", path_, "--policy",
+                                      "spf"};
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        auto r = runCli(argv);
+        EXPECT_EQ(r.code, 1) << flags[0] << " " << flags[1];
+        EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << r.err;
+        EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+    // Validation runs before the trace is even read.
+    auto r = runCli({"schedule", "/nonexistent/trace.csv", "--rate",
+                     "0"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("jobs_per_hour"), std::string::npos) << r.err;
+}
+
 TEST_F(CliWithTraceTest, ScheduleCompareFifoReportsDelta)
 {
     auto r = runCli({"schedule", path_, "--servers", "24", "--rate",

@@ -15,6 +15,8 @@
 
 #include "clustersim/scheduler.h"
 #include "hw/units.h"
+#include "obs/obs.h"
+#include "testkit/sched_oracle.h"
 #include "trace/synthetic_cluster.h"
 
 namespace paichar::clustersim {
@@ -311,6 +313,40 @@ TEST_F(PolicyTest, BestFitPreservesLargeBlocks)
     cfg.placement = PlacementStrategy::BestFit;
     auto best = ClusterScheduler(cfg, model_).run(reqs);
     EXPECT_DOUBLE_EQ(byId(best, 4).wait(), 0.0);
+}
+
+TEST_F(PolicyTest, SpfPlacementAttemptsScaleNearLinearly)
+{
+    // A saturating stream keeps a queue proportional to its length. A
+    // scan that restarts after every placement makes O(jobs x queue)
+    // attempts, so doubling the stream about quadruples them; one
+    // pass per event charges each shape head once per pass, which
+    // stays near-linear.
+    obs::Counter &attempts =
+        obs::counter("clustersim.placement_attempts");
+    testkit::JobGenerator gen;
+    auto attemptsFor = [&](int jobs) {
+        testkit::SchedStreamOptions opt;
+        opt.num_jobs = jobs;
+        opt.jobs_per_hour = 2000.0;
+        SchedulerConfig cfg;
+        cfg.num_servers = 16;
+        cfg.gpus_per_server = 8;
+        cfg.nvlink_fraction = 0.5;
+        cfg.policy = Policy::Spf;
+        cfg.record_job_log = false;
+        cfg.record_timeline = false;
+        auto reqs = testkit::genRequests(gen, 77, opt, cfg.num_servers);
+        uint64_t before = attempts.value();
+        auto out = ClusterScheduler(cfg, model_).run(reqs);
+        EXPECT_GT(out.mean_wait, 0.0) << "stream must saturate";
+        return static_cast<double>(attempts.value() - before);
+    };
+    double n = attemptsFor(1500);
+    double n2 = attemptsFor(3000);
+    ASSERT_GT(n, 0.0);
+    RecordProperty("attempts_ratio", std::to_string(n2 / n));
+    EXPECT_LT(n2 / n, 2.5) << n << " -> " << n2 << " attempts";
 }
 
 TEST_F(PolicyTest, PolicyNamesRoundTrip)

@@ -17,7 +17,9 @@
  *    configs and run arguments by throwing — the pre-fix asserts
  *    vanished under NDEBUG and let qps = 0 divide into NaN;
  *  - the exponential sampler clamps a closed-interval uniform draw
- *    instead of emitting an infinite inter-arrival gap.
+ *    instead of emitting an infinite inter-arrival gap;
+ *  - the cluster scheduler and its Poisson submission stream reject
+ *    out-of-range configs and rates (NaN included) by throwing.
  */
 
 #include <gtest/gtest.h>
@@ -31,6 +33,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "clustersim/scheduler.h"
+#include "hw/hardware_config.h"
 #include "inference/fleet_sim.h"
 #include "inference/serving_sim.h"
 #include "obs/obs.h"
@@ -308,6 +312,44 @@ TEST(NdebugTimelineTest, SloAutoscalerValidationThrowsUnderNdebug)
     bad.autoscaler.slo_latency = kNan;
     EXPECT_THROW(inference::FleetSimulator{bad},
                  std::invalid_argument);
+}
+
+TEST(NdebugSchedulerTest, ConfigAndStreamValidationThrowUnderNdebug)
+{
+    // `schedule --servers 0`, `--nvlink-frac 2` and `--rate 0|nan|-1`
+    // reach these checks directly; under NDEBUG the old asserts
+    // vanished and the run divided by a zero rate or indexed an empty
+    // server table.
+    core::AnalyticalModel model(hw::paiCluster());
+    auto rejects = [&](auto mutate) {
+        clustersim::SchedulerConfig cfg;
+        mutate(cfg);
+        EXPECT_THROW(clustersim::ClusterScheduler(cfg, model),
+                     std::invalid_argument);
+    };
+    rejects([](auto &c) { c.num_servers = 0; });
+    rejects([](auto &c) { c.gpus_per_server = 0; });
+    rejects([](auto &c) { c.nvlink_fraction = 2.0; });
+    rejects([](auto &c) { c.nvlink_fraction = kNan; });
+    rejects([](auto &c) { c.old_gen_fraction = -0.5; });
+    rejects([](auto &c) { c.preempt_ratio = 1.0; });
+    EXPECT_NO_THROW(
+        clustersim::ClusterScheduler(clustersim::SchedulerConfig{}, model));
+
+    std::vector<workload::TrainingJob> jobs(3);
+    for (double rate : {0.0, -1.0, kNan, kInf}) {
+        EXPECT_THROW(
+            clustersim::poissonRequests(jobs, rate, 2000.0, 1.2, 1),
+            std::invalid_argument)
+            << rate;
+    }
+    EXPECT_THROW(clustersim::poissonRequests(jobs, 100.0, 0.5, 1.2, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(clustersim::poissonRequests(jobs, 100.0, 2000.0, kNan, 1),
+                 std::invalid_argument);
+    EXPECT_EQ(clustersim::poissonRequests(jobs, 100.0, 2000.0, 1.2, 1)
+                  .size(),
+              3u);
 }
 
 } // namespace

@@ -12,6 +12,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "clustersim/scheduler.h"
 #include "testkit/sched_oracle.h"
@@ -33,6 +36,29 @@ fuzzCluster()
     cfg.nvlink_fraction = 0.5;
     cfg.record_job_log = false;
     return cfg;
+}
+
+/**
+ * fuzzCluster() under best-fit placement, PS/Worker -> AllReduce-Local
+ * porting and mixed GPU generations, alone and combined: each reaches
+ * placement paths the default cluster never takes.
+ */
+std::vector<std::pair<std::string, SchedulerConfig>>
+fuzzClusterVariants()
+{
+    SchedulerConfig best_fit = fuzzCluster();
+    best_fit.placement = clustersim::PlacementStrategy::BestFit;
+    SchedulerConfig port = fuzzCluster();
+    port.port_ps_to_allreduce = true;
+    SchedulerConfig hetero = fuzzCluster();
+    hetero.old_gen_fraction = 0.25;
+    SchedulerConfig all = best_fit;
+    all.port_ps_to_allreduce = true;
+    all.old_gen_fraction = 0.25;
+    return {{"best-fit", best_fit},
+            {"port", port},
+            {"hetero", hetero},
+            {"best-fit+port+hetero", all}};
 }
 
 const std::vector<Policy> &
@@ -85,6 +111,29 @@ TEST(SchedOracle, FuzzedStreamsHoldInvariantsUnderEveryPolicy)
         "--gtest_filter='*FuzzedStreams*'");
     if (failure)
         FAIL() << describe(*failure);
+}
+
+TEST(SchedOracle, FuzzedStreamsHoldInvariantsUnderClusterVariants)
+{
+    JobGenerator gen;
+    SchedStreamOptions opt;
+    opt.num_jobs = 50;
+    opt.jobs_per_hour = 600.0;
+
+    uint64_t base_seed = 7300;
+    int count = 4;
+    if (const char *env = std::getenv("PAICHAR_SCHED_SEED")) {
+        base_seed = std::strtoull(env, nullptr, 10);
+        count = 1;
+    }
+    for (const auto &[name, cfg] : fuzzClusterVariants()) {
+        auto failure = fuzzPolicies(
+            gen, base_seed, count, allPolicies(), cfg, opt,
+            "PAICHAR_SCHED_SEED={seed} ./sched_oracle_test "
+            "--gtest_filter='*ClusterVariants*'");
+        if (failure)
+            FAIL() << name << ": " << describe(*failure);
+    }
 }
 
 TEST(SchedOracle, PreemptionHeavyStreamsConserveWork)
