@@ -81,6 +81,16 @@ struct TableVRow
     double batch, flops, mem, memcpy_bytes, network;
 };
 
+/**
+ * Print a row by its model name. Without this gtest dumps the raw bytes,
+ * whose `name` pointer differs per process under ASLR, so the discovered
+ * test names would change from one build to the next.
+ */
+void PrintTo(const TableVRow &row, std::ostream *os)
+{
+    *os << row.name;
+}
+
 class TableVProperty : public ::testing::TestWithParam<TableVRow>
 {
 };
