@@ -19,11 +19,10 @@
  * the ratio between the two evaluators is what makes the planner's
  * analytical-prune-then-simulate-top-K search pay off. A fifth
  * sim-engine section compares the seed priority_queue event engine
- * against the arena/ladder EventQueue and the sharded engine on an
- * 8M-event drain (recorded in BENCH_sim_engine.json). A sixth
- * serving section records simulated-requests-per-second of the seed
- * single-server simulator against the fleet event loop
- * (BENCH_serving.json).
+ * against the arena/ladder EventQueue on an 8M-event drain (recorded
+ * in BENCH_sim_engine.json). A sixth serving section records
+ * simulated-requests-per-second of the seed single-server simulator
+ * against the fleet event loop (BENCH_serving.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -59,7 +58,6 @@
 #include "opt/passes.h"
 #include "runtime/parallel.h"
 #include "sim/event_queue.h"
-#include "sim/sharded_engine.h"
 #include "testbed/training_sim.h"
 #include "trace/binary_trace.h"
 #include "trace/synthetic_cluster.h"
@@ -786,8 +784,8 @@ runPlannerSection()
  * The seed repo's event engine, kept verbatim as the sim_engine
  * baseline (mirroring the legacy CSV parser above): a
  * std::priority_queue of std::function events with the
- * const_cast-move pop. Everything the ladder/sharded engines are
- * measured against.
+ * const_cast-move pop. Everything the ladder EventQueue is measured
+ * against.
  */
 namespace seed_sim {
 
@@ -854,9 +852,8 @@ simBenchMix(uint64_t x)
 
 /**
  * Event-engine section: bulk-schedule-then-drain throughput of the
- * seed priority_queue engine, the arena/ladder EventQueue, and the
- * sharded engine at 2 and 8 shards on the global pool, over the same
- * splitmix64-timed event population (the contents of
+ * seed priority_queue engine and the arena/ladder EventQueue, over
+ * the same splitmix64-timed event population (the contents of
  * BENCH_sim_engine.json). Event count defaults to 8M; override with
  * PAICHAR_SIM_BENCH_EVENTS for quick runs. CI greps the
  * speedup_vs_seed column.
@@ -902,68 +899,34 @@ runSimEngineSection()
     struct Row
     {
         const char *engine;
-        int shards;
         std::function<Timing()> body;
     };
-    auto timeDrain = [](auto &engine, auto &&scheduleAll) {
+    auto timeDrain = [&](auto &eq) {
+        uint64_t acc = 0;
         auto t0 = std::chrono::steady_clock::now();
-        scheduleAll();
+        for (size_t i = 0; i < events_n; ++i)
+            eq.schedule(whenAt(i), [&acc] { ++acc; });
         auto t1 = std::chrono::steady_clock::now();
-        engine.run();
+        eq.run();
         auto t2 = std::chrono::steady_clock::now();
+        benchmark::DoNotOptimize(acc);
         return Timing{
             std::chrono::duration<double>(t1 - t0).count(),
             std::chrono::duration<double>(t2 - t1).count(),
-            engine.executed()};
+            eq.executed()};
     };
     std::vector<Row> rows = {
-        {"serial_seed", 1,
+        {"serial_seed",
          [&] {
              seed_sim::EventQueue eq;
-             uint64_t acc = 0;
-             Timing t = timeDrain(eq, [&] {
-                 for (size_t i = 0; i < events_n; ++i)
-                     eq.schedule(whenAt(i), [&acc] { ++acc; });
-             });
-             benchmark::DoNotOptimize(acc);
-             return t;
+             return timeDrain(eq);
          }},
-        {"ladder", 1,
+        {"ladder",
          [&] {
              sim::EventQueue eq;
-             uint64_t acc = 0;
-             Timing t = timeDrain(eq, [&] {
-                 for (size_t i = 0; i < events_n; ++i)
-                     eq.schedule(whenAt(i), [&acc] { ++acc; });
-             });
-             benchmark::DoNotOptimize(acc);
-             return t;
+             return timeDrain(eq);
          }},
     };
-    for (int shards : {2, 8}) {
-        rows.push_back(
-            {"sharded", shards, [&, shards]() -> Timing {
-                 sim::ShardedEngine engine(shards, /*lookahead=*/0.1,
-                                           runtime::globalPool());
-                 // One cache line per shard accumulator so parallel
-                 // drains do not false-share.
-                 std::vector<uint64_t> acc(
-                     static_cast<size_t>(shards) * 8, 0);
-                 Timing t = timeDrain(engine, [&] {
-                     for (size_t i = 0; i < events_n; ++i) {
-                         int s = static_cast<int>(
-                             i % static_cast<size_t>(shards));
-                         engine.schedule(
-                             s, whenAt(i), [&acc, s] {
-                                 ++acc[static_cast<size_t>(s) * 8];
-                             });
-                     }
-                 });
-                 benchmark::DoNotOptimize(acc.data());
-                 return t;
-             }});
-    }
-
     double seed_drain = 0.0;
     for (const Row &row : rows) {
         Timing best{0.0, 0.0, 0};
@@ -986,10 +949,10 @@ runSimEngineSection()
             seed_drain = best.drain_sec;
         std::printf(
             "{\"bench\":\"sim_engine\",\"engine\":\"%s\","
-            "\"shards\":%d,\"events\":%zu,\"threads\":%d,"
+            "\"events\":%zu,\"threads\":%d,"
             "\"schedule_seconds\":%.6f,\"seconds\":%.6f,"
             "\"events_per_s\":%.0f,\"speedup_vs_seed\":%.2f}\n",
-            row.engine, row.shards, events_n, threads,
+            row.engine, events_n, threads,
             best.schedule_sec, best.drain_sec,
             static_cast<double>(events_n) / best.drain_sec,
             seed_drain > 0.0 ? seed_drain / best.drain_sec : 0.0);

@@ -33,7 +33,6 @@
 #include "predict/predictor.h"
 #include "profiler/bottleneck_report.h"
 #include "runtime/parallel.h"
-#include "sim/sharded_engine.h"
 #include "stats/table.h"
 #include "testbed/training_sim.h"
 #include "trace/synthetic_cluster.h"
@@ -232,7 +231,7 @@ printUsage(std::ostream &out)
            "optional admission control and\na reactive autoscaler); "
            "capacity bisects the smallest fleet that holds\na p99 "
            "SLO at the offered load. Both are byte-identical for "
-           "every\n--threads/--shards setting. --autoscale slo "
+           "every\n--threads setting. --autoscale slo "
            "scales on the trailing\nwindow's p99 latency against "
            "--slo-ms instead of queue depth.\n"
            "\n"
@@ -242,10 +241,8 @@ printUsage(std::ostream &out)
            "unless --trace-format is given.\n"
            "\n"
            "Every command accepts --threads N (default: "
-           "$PAICHAR_THREADS, else all\nhardware threads; 1 = serial) "
-           "and --shards K (default: $PAICHAR_SHARDS,\nelse 1) to "
-           "shard the discrete-event engine by server domain.\n"
-           "Outputs are identical for every N and K.\n"
+           "$PAICHAR_THREADS, else all\nhardware threads; 1 = serial). "
+           "Outputs are identical for every N.\n"
            "\n"
            "Observability (never touches stdout):\n"
            "  --metrics[=FILE]  write the metric summary to FILE "
@@ -870,6 +867,9 @@ parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
     f.arrival.qps =
         args.numFlag("qps", 0.5 * f.cfg.num_servers / f.solo);
     f.slo = args.numFlag("slo-ms", 5.0 * f.solo * 1e3) * 1e-3;
+    if (!(f.slo > 0.0) || !std::isfinite(f.slo))
+        throw UsageError("error: flag --slo-ms expects a positive, "
+                         "finite number");
     f.cfg.autoscaler.slo_latency = f.slo;
     f.requests =
         static_cast<int64_t>(args.numFlag("requests", 20000));
@@ -1428,13 +1428,9 @@ run(const std::vector<std::string> &args, std::ostream &out,
             runtime::setThreadCount(static_cast<int>(t));
         }
         if (parsed->flag("shards")) {
-            double k = parsed->numFlag("shards", 0);
-            if (k < 1 || k != std::floor(k)) {
-                err << "error: --shards expects a positive "
-                       "integer\n";
-                return 1;
-            }
-            sim::setShardCount(static_cast<int>(k));
+            err << "error: --shards was removed: the event engine is "
+                   "a single queue\n";
+            return 1;
         }
 
         auto metrics_dest = parsed->flag("metrics");

@@ -20,7 +20,7 @@
 #include "obs/timeline.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
-#include "sim/sharded_engine.h"
+#include "sim/event_queue.h"
 #include "stats/cdf.h"
 #include "stats/rng.h"
 
@@ -516,21 +516,15 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     }
     cap.countServers(cfg_.gpus_per_server);
 
-    // Completion events run on a sharded discrete-event engine: a
-    // job's finish event lives on the shard of its first allocated
-    // server, so completions at the same timestamp on different
-    // domains drain in parallel. Releases commute (they only add
-    // capacity back), which keeps the outcome byte-identical for any
-    // shard count, including the serial shards=1 fast path.
-    int num_shards = sim::shardCount();
-    sim::ShardedEngine engine(num_shards, /*lookahead=*/0.0,
-                              runtime::globalPool());
+    // Completion events run on one discrete-event queue.
+    sim::EventQueue eq;
 
     // Timeline probes: scheduler-loop observations sampled at the
     // simulated-time cadence (levels are "as seen by the control
     // loop" at each pass; rates count admissions/preemptions/drops).
     // A record_timeline=false run (the FIFO comparison) suspends the
-    // process-wide timeline so the engine's probes stay quiet too.
+    // process-wide timeline so the queue's `sim.events` probe stays
+    // quiet too.
     std::optional<obs::TimelineSuspend> tl_suspend;
     if (!cfg_.record_timeline)
         tl_suspend.emplace();
@@ -570,11 +564,8 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     };
     std::vector<Slot> slots;
     std::vector<size_t> free_slots;
-    // Per-shard buffers of (slot, gen) whose completion fired in the
-    // last drain; a shard's completion callbacks are the only
-    // writers of its buffer, so no locks are needed.
-    std::vector<std::vector<std::pair<size_t, uint64_t>>> finished(
-        static_cast<size_t>(engine.numShards()));
+    // (slot, gen) pairs whose completion fired in the last drain.
+    std::vector<std::pair<size_t, uint64_t>> finished;
 
     ClusterOutcome out;
     out.jobs.reserve(requests.size());
@@ -819,12 +810,9 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
             sl.active = true;
             ++running;
             uint64_t gen = ++sl.gen;
-            int shard = sl.alloc.front().first % engine.numShards();
-            engine.schedule(shard, now + runtime,
-                            [&finished, shard, slot, gen] {
-                                finished[static_cast<size_t>(shard)]
-                                    .push_back({slot, gen});
-                            });
+            eq.schedule(now + runtime, [&finished, slot, gen] {
+                finished.push_back({slot, gen});
+            });
         } else {
             // A non-finite finish never fires: the job holds its
             // GPUs forever, exactly as the old priority-queue loop
@@ -1031,8 +1019,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     };
 
     while (arrival < requests.size() || !pending.empty() ||
-           !spf_queue.empty() ||
-           engine.pending() > 0) {
+           !spf_queue.empty() || eq.pending() > 0) {
         // Admit all submissions up to `now`, dropping jobs the
         // cluster can never host (e.g. more cNodes than NVLink
         // capacity). Admitting them would starve the queue forever
@@ -1083,7 +1070,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         double next = std::numeric_limits<double>::infinity();
         if (arrival < requests.size())
             next = requests[arrival].submit_time;
-        next = std::min(next, engine.nextEventTime());
+        next = std::min(next, eq.nextEventTime());
         if (!std::isfinite(next))
             break; // queue non-empty but nothing can ever finish
         now = std::max(now, next);
@@ -1091,28 +1078,24 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         // Fire every completion up to `now` and release its GPUs. A
         // (slot, gen) pair that no longer matches belongs to a
         // preempted-and-restarted job: its stale event is a no-op.
-        engine.runUntil(now);
-        for (auto &shard_done : finished) {
-            for (auto [slot, gen] : shard_done) {
-                Slot &sl = slots[slot];
-                if (!sl.active || sl.gen != gen)
-                    continue;
-                cap.release(sl.alloc);
-                JobOutcome &jo = out.jobs[sl.out];
-                if (!jo.segments.empty())
-                    jo.segments.push_back(
-                        {sl.seg_start, jo.finish_time});
-                emitJobRecord(sl.req, jo, sl.executed,
-                              sl.alloc.empty()
-                                  ? -1
-                                  : sl.alloc.front().first);
-                sl.active = false;
-                --running;
-                sl.alloc.clear();
-                free_slots.push_back(slot);
-            }
-            shard_done.clear();
+        eq.runUntil(now);
+        for (auto [slot, gen] : finished) {
+            Slot &sl = slots[slot];
+            if (!sl.active || sl.gen != gen)
+                continue;
+            cap.release(sl.alloc);
+            JobOutcome &jo = out.jobs[sl.out];
+            if (!jo.segments.empty())
+                jo.segments.push_back({sl.seg_start, jo.finish_time});
+            emitJobRecord(sl.req, jo, sl.executed,
+                          sl.alloc.empty() ? -1
+                                           : sl.alloc.front().first);
+            sl.active = false;
+            --running;
+            sl.alloc.clear();
+            free_slots.push_back(slot);
         }
+        finished.clear();
         sampleLevels();
     }
     // Every admitted job is placeable on an empty cluster, so the

@@ -80,11 +80,16 @@ CollectiveOps::runPhases(std::vector<sim::Resource *> links,
     st->done = std::move(done);
 
     // Launch one phase: every link carries its chunk concurrently; the
-    // next phase starts when the slowest finishes (ring barrier).
+    // next phase starts when the slowest finishes (ring barrier). The
+    // closure holds itself weakly -- a strong self-capture is a cycle
+    // that leaks it, the state and the caller's callback -- while the
+    // pending event and link callbacks that run it hold it strongly.
     auto launch = std::make_shared<std::function<void()>>();
     double latency = phase_latency_;
     sim::EventQueue &eq = eq_;
-    *launch = [st, launch, latency, &eq] {
+    *launch = [st, self = std::weak_ptr<std::function<void()>>(launch),
+               latency, &eq] {
+        auto launch = self.lock();
         st->outstanding = st->links.size();
         for (sim::Resource *link : st->links) {
             link->submit(

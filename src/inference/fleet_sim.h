@@ -30,7 +30,7 @@
  * Determinism: the entire simulation is a single-threaded event loop
  * over totally ordered events (time, kind, server) with seed-pure
  * per-stream RNGs, so results are byte-identical for every --threads
- * and --shards setting, like every other subcommand. A one-server
+ * setting, like every other subcommand. A one-server
  * greedy fleet with a constant stream reproduces the seed
  * ServingSimulator byte-for-byte (pinned by the testkit fleet
  * oracle).

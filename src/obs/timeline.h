@@ -25,10 +25,9 @@
  * which closes every window whose end is <= t (an event exactly on a
  * boundary belongs to the next window). Because windows are a pure
  * function of simulated time and every probe recording happens on the
- * coordinating thread in event order (rate adds from worker shards
- * are order-independent sums within a round), the emitted rows are
- * byte-identical for every --threads x --shards combination -- the
- * same determinism contract as the goldens.
+ * coordinating thread in event order, the emitted rows are
+ * byte-identical for every --threads count -- the same determinism
+ * contract as the goldens.
  *
  * Process-wide lifecycle mirrors the job log: `startTimeline()` /
  * `stopTimeline()` bracket a run, `timelineActive()` is one relaxed

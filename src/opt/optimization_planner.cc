@@ -6,6 +6,7 @@
 
 #include "core/arch_feasibility.h"
 #include "obs/obs.h"
+#include "obs/timeline.h"
 
 namespace paichar::opt {
 
@@ -282,9 +283,15 @@ OptimizationPlanner::evaluate(const CaseStudyModel &model,
     }
 
     SimulatedCostModel sim(cfg_.sim);
-    auto results = runtime::parallelMap<testbed::StepResult>(
-        pool, sel.size(),
-        [&](size_t k) { return sim.simulate(cands[sel[k]].prep); });
+    std::vector<testbed::StepResult> results;
+    {
+        // Pool workers run these simulations, and only the calling
+        // thread may record into the timeline: keep them out of it.
+        obs::TimelineSuspend quiet;
+        results = runtime::parallelMap<testbed::StepResult>(
+            pool, sel.size(),
+            [&](size_t k) { return sim.simulate(cands[sel[k]].prep); });
+    }
 
     // Phase 3: assemble and rank.
     std::vector<Plan> plans(specs.size());

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "obs/obs.h"
+#include "obs/timeline.h"
 
 namespace paichar::sim {
 
@@ -321,8 +322,11 @@ EventQueue::run()
 {
     obs::Span span("sim.run");
     uint64_t before = executed_;
-    while (refillFront())
-        executeTop();
+    if (obs::timelineActive())
+        drainRecorded(kInf);
+    else
+        while (refillFront())
+            executeTop();
     finishDrain(span, executed_ - before);
     return now_;
 }
@@ -332,12 +336,35 @@ EventQueue::runUntil(SimTime until)
 {
     obs::Span span("sim.run_until");
     uint64_t before = executed_;
-    while (refillFront() && front_.front().when <= until)
-        executeTop();
+    if (obs::timelineActive())
+        drainRecorded(until);
+    else
+        while (refillFront() && front_.front().when <= until)
+            executeTop();
     if (now_ < until)
         now_ = until;
     finishDrain(span, executed_ - before);
     return now_;
+}
+
+void
+EventQueue::drainRecorded(SimTime until)
+{
+    // One distinct timestamp per step: close every window ending at
+    // or before t, run t's events (including any they schedule at
+    // t), then attribute their count to t's window.
+    obs::Timeline &tl = *obs::timeline();
+    obs::Timeline::Rate &events = tl.rate("sim.events");
+    while (refillFront() && front_.front().when <= until) {
+        SimTime t = front_.front().when;
+        tl.advanceTo(t);
+        uint64_t before = executed_;
+        while (refillFront() && front_.front().when <= t)
+            executeTop();
+        events.add(static_cast<double>(executed_ - before));
+    }
+    if (std::isfinite(until))
+        tl.advanceTo(until);
 }
 
 SimTime

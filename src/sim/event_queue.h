@@ -80,18 +80,22 @@ class EventQueue
     /**
      * Run events until the queue drains; returns the time of the last
      * event (or now() if none ran).
+     *
+     * While obs::timelineActive(), run() and runUntil() step one
+     * distinct timestamp at a time and add each timestamp's executed
+     * count to the timeline's `sim.events` rate (DESIGN.md Sec 12).
      */
     SimTime run();
 
-    /** Run events with time <= @p until; pending later events remain. */
+    /**
+     * Run events with time <= @p until, then advance now() (and a
+     * recording timeline) to @p until; pending later events remain.
+     */
     SimTime runUntil(SimTime until);
 
     /**
      * Run events with time strictly < @p bound; now() advances to
-     * @p bound afterwards (if beyond it already, it stays put). This
-     * is the conservative-window drain primitive of the sharded
-     * engine: the caller guarantees no event earlier than @p bound
-     * can still be delivered to this queue.
+     * @p bound afterwards (if beyond it already, it stays put).
      */
     SimTime runBefore(SimTime bound);
 
@@ -104,9 +108,7 @@ class EventQueue
 
     /**
      * Advance now() to @p t without executing events (no-op when
-     * t <= now()). The sharded engine commits synchronized round
-     * boundaries with this so every shard agrees on the clock even
-     * when a round executed nothing locally.
+     * t <= now()).
      */
     void advanceTo(SimTime t);
 
@@ -134,6 +136,9 @@ class EventQueue
 
     /** Pop and execute the earliest event (front must be non-empty). */
     void executeTop();
+
+    /** The timeline-recording drain loop of run()/runUntil(). */
+    void drainRecorded(SimTime until);
 
     /** Record per-drain obs metrics and close the drain span. */
     void finishDrain(obs::Span &span, uint64_t executed_delta);

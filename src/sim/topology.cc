@@ -1,6 +1,5 @@
 #include "topology.h"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -69,16 +68,11 @@ Server::Server(EventQueue &eq, int id, const TopologyConfig &cfg)
     }
 }
 
-ClusterSim::ClusterSim(const TopologyConfig &cfg)
-    : cfg_(cfg),
-      num_shards_(std::clamp(cfg.num_shards, 1, cfg.num_servers)),
-      engine_(num_shards_)
+ClusterSim::ClusterSim(const TopologyConfig &cfg) : cfg_(cfg)
 {
     assert(cfg.num_servers >= 1);
-    for (int s = 0; s < cfg.num_servers; ++s) {
-        servers_.push_back(std::make_unique<Server>(
-            engine_.shard(shardOf(s)), s, cfg_));
-    }
+    for (int s = 0; s < cfg.num_servers; ++s)
+        servers_.push_back(std::make_unique<Server>(eq_, s, cfg_));
 }
 
 Gpu &

@@ -19,7 +19,6 @@
 #include "hw/hardware_config.h"
 #include "sim/event_queue.h"
 #include "sim/resource.h"
-#include "sim/sharded_engine.h"
 #include "workload/model_zoo.h"
 
 namespace paichar::sim {
@@ -48,13 +47,6 @@ struct TopologyConfig
     bool shared_pcie = false;
     /** Servers to instantiate. */
     int num_servers = 1;
-    /**
-     * Event-engine shards the servers are partitioned over (server s
-     * lives on shard s % num_shards; clamped to num_servers). The
-     * default of 1 is the degenerate single-queue engine with the
-     * classic serial semantics; see ClusterSim::engine().
-     */
-    int num_shards = 1;
 };
 
 /** One simulated GPU. */
@@ -124,34 +116,17 @@ class Server
     std::vector<std::unique_ptr<Gpu>> gpus_;
 };
 
-/** A simulated cluster: sharded event engine + servers. */
+/** A simulated cluster: one event queue + servers. */
 class ClusterSim
 {
   public:
     explicit ClusterSim(const TopologyConfig &cfg);
 
-    /**
-     * Shard 0's queue. With the default num_shards == 1 this is the
-     * whole simulation (the classic serial engine); with more shards
-     * it is only the first domain -- drive the simulation with
-     * drain() so every shard advances.
-     */
-    EventQueue &eventQueue() { return engine_.shard(0); }
+    /** The event queue every server's resources schedule on. */
+    EventQueue &eventQueue() { return eq_; }
 
-    /** The sharded engine driving the cluster. */
-    ShardedEngine &engine() { return engine_; }
-
-    /** Shard hosting server @p server_id's resources. */
-    int shardOf(int server_id) const
-    {
-        return server_id % num_shards_;
-    }
-
-    /**
-     * Run the simulation to completion across all shards; returns
-     * the final simulated time.
-     */
-    SimTime drain() { return engine_.run(); }
+    /** Run the simulation to completion; returns the final time. */
+    SimTime drain() { return eq_.run(); }
 
     const TopologyConfig &config() const { return cfg_; }
 
@@ -177,15 +152,7 @@ class ClusterSim
 
   private:
     TopologyConfig cfg_;
-    int num_shards_;
-    /**
-     * Rounds drain serially (no worker pool): resource task chains
-     * schedule continuations directly across server domains, which is
-     * safe when at most one shard drains at a time. Parallel rounds
-     * are for workloads that keep scheduling shard-local (e.g. the
-     * clustersim completion engine).
-     */
-    ShardedEngine engine_;
+    EventQueue eq_;
     std::vector<std::unique_ptr<Server>> servers_;
 };
 

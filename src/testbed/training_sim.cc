@@ -101,7 +101,6 @@ TrainingSimulator::run(const OpGraph &graph, const WorkloadFeatures &f,
     tc.efficiency = eff;
     tc.kernel_launch_overhead = opts_.kernel_launch_overhead;
     tc.nvlink_links_per_gpu = opts_.nvlink_links_per_gpu;
-    tc.num_shards = opts_.num_shards;
     // Centralized local training shares the host PCIe root; other
     // placements use dedicated links (contention is folded into the
     // measured PCIe efficiency, Sec IV).
@@ -292,7 +291,6 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     tc.efficiency = eff;
     tc.kernel_launch_overhead = opts_.kernel_launch_overhead;
     tc.nvlink_links_per_gpu = opts_.nvlink_links_per_gpu;
-    tc.num_shards = opts_.num_shards;
     tc.shared_pcie = arch == ArchType::OneWorkerMultiGpu;
     const int gps = tc.cluster.server.gpus_per_server;
     bool one_per_server = arch == ArchType::PsWorker;
@@ -302,7 +300,6 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     sim::ClusterSim cluster(tc);
     auto group = one_per_server ? cluster.gpuGroupOnePerServer(n)
                                 : cluster.gpuGroup(n);
-    sim::EventQueue &eq = cluster.eventQueue();
     auto strategy = collectives::makeStrategy(arch);
 
     // Precompute per-kernel service times once.
@@ -343,14 +340,13 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     st->comm_done.assign(static_cast<size_t>(steps), false);
     st->step_finish.assign(static_cast<size_t>(steps), 0.0);
 
-    // Forward declarations via shared function objects.
-    auto submitCompute =
-        std::make_shared<std::function<void(int, int)>>();
-    auto onComputeDone =
-        std::make_shared<std::function<void(int, double)>>();
+    // Forward declarations. Every event drains inside this function,
+    // so the closures reach these two by reference; owning each other
+    // through shared pointers would be a cycle that never frees.
+    std::function<void(int, int)> submitCompute;
+    std::function<void(int, double)> onComputeDone;
 
-    *submitCompute = [&, st, submitCompute, onComputeDone](int s,
-                                                           int r) {
+    submitCompute = [&, st](int s, int r) {
         size_t idx = static_cast<size_t>(s) * st->n +
                      static_cast<size_t>(r);
         if (st->compute_submitted[idx] || !st->data_done[idx])
@@ -364,26 +360,26 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
             gpu->exec().submit(
                 kernel_seconds[k],
                 last ? sim::Completion(
-                           [st, onComputeDone, s](sim::SimTime,
-                                                  sim::SimTime end) {
-                               (*onComputeDone)(s, end);
+                           [&onComputeDone, s](sim::SimTime,
+                                               sim::SimTime end) {
+                               onComputeDone(s, end);
                            })
                      : sim::Completion());
         }
     };
 
-    *onComputeDone = [&, st, submitCompute](int s, double) {
+    onComputeDone = [&, st](int s, double) {
         if (--st->compute_remaining[static_cast<size_t>(s)] > 0)
             return;
         // All replicas finished step s: launch the weight sync; its
         // link submissions naturally serialize behind step s-1's.
         strategy->sync(
-            cluster, group, f, [&, st, submitCompute, s](double end) {
+            cluster, group, f, [&, st, s](double end) {
                 st->comm_done[static_cast<size_t>(s)] = true;
                 st->step_finish[static_cast<size_t>(s)] = end;
                 if (st->gate_on_comm && s + 1 < st->steps) {
                     for (int r = 0; r < st->n; ++r)
-                        (*submitCompute)(s + 1, r);
+                        submitCompute(s + 1, r);
                 }
             });
     };
@@ -393,11 +389,10 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
         for (int r = 0; r < n; ++r) {
             group[static_cast<size_t>(r)]->hostLink().submit(
                 f.input_bytes,
-                [&, st, submitCompute, s, r](sim::SimTime,
-                                             sim::SimTime) {
+                [&, st, s, r](sim::SimTime, sim::SimTime) {
                     st->data_done[static_cast<size_t>(s) * st->n +
                                   static_cast<size_t>(r)] = true;
-                    (*submitCompute)(s, r);
+                    submitCompute(s, r);
                 });
         }
     }
@@ -406,7 +401,7 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     // Timeline: replay step completions in step order. The drain's
     // internal event order depends on queue internals, but
     // step_finish is a pure function of the inputs, so replaying it
-    // afterwards gives thread/shard-independent rows.
+    // afterwards gives thread-independent rows.
     if (obs::timelineActive()) {
         obs::Timeline *tl = obs::timeline();
         obs::Timeline::Rate &steps_rate =

@@ -46,12 +46,6 @@ struct SimOptions
      */
     int num_ps = 0;
     bool model_ps_contention = false;
-    /**
-     * Event-engine shards the simulated servers are partitioned over
-     * (clamped to the server count). 1 keeps the classic serial
-     * engine; see sim::TopologyConfig::num_shards.
-     */
-    int num_shards = 1;
 };
 
 /**

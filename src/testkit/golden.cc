@@ -10,7 +10,6 @@
 
 #include "cli/cli.h"
 #include "runtime/parallel.h"
-#include "sim/sharded_engine.h"
 
 namespace paichar::testkit {
 
@@ -62,17 +61,15 @@ checkGolden(const std::string &name,
 {
     assert(!opts.dir.empty());
     assert(!opts.thread_counts.empty());
-    assert(!opts.shard_counts.empty());
 
     GoldenResult r;
 
-    // Run under the full thread x shard matrix; require identical
-    // bytes everywhere (the binary-level determinism contracts of
-    // the runtime layer and the sharded event engine). Artifact
-    // files the command writes are held to the same contract.
+    // Run under every thread count; require identical bytes
+    // everywhere (the runtime layer's binary-level determinism
+    // contract). Artifact files the command writes are held to the
+    // same contract.
     std::string output;
     std::vector<std::string> artifacts(opts.artifact_files.size());
-    bool first = true;
     auto readArtifact =
         [](const std::string &path) -> std::optional<std::string> {
         std::ifstream f(path, std::ios::binary);
@@ -82,65 +79,51 @@ checkGolden(const std::string &name,
         buf << f.rdbuf();
         return std::move(buf).str();
     };
-    for (int threads : opts.thread_counts) {
-        for (int shards : opts.shard_counts) {
-            std::vector<std::string> full = args;
-            full.push_back("--threads");
-            full.push_back(std::to_string(threads));
-            full.push_back("--shards");
-            full.push_back(std::to_string(shards));
+    const std::string base_combo =
+        "--threads " + std::to_string(opts.thread_counts[0]);
+    for (size_t ti = 0; ti < opts.thread_counts.size(); ++ti) {
+        bool first = ti == 0;
+        std::string combo =
+            "--threads " + std::to_string(opts.thread_counts[ti]);
+        std::vector<std::string> full = args;
+        full.push_back("--threads");
+        full.push_back(std::to_string(opts.thread_counts[ti]));
 
-            std::ostringstream out, err;
-            int code = cli::run(full, out, err);
-            // Leave the process-wide pool and shard default as the
-            // environment dictates.
-            runtime::setThreadCount(0);
-            sim::setShardCount(0);
-            std::string combo = "--threads " +
-                                std::to_string(threads) +
-                                " --shards " + std::to_string(shards);
-            if (code != 0 || !err.str().empty()) {
-                r.message = name + ": CLI exited " +
-                            std::to_string(code) + " under " + combo +
-                            "\n  stderr: " + err.str();
+        std::ostringstream out, err;
+        int code = cli::run(full, out, err);
+        // Leave the process-wide pool as the environment dictates.
+        runtime::setThreadCount(0);
+        if (code != 0 || !err.str().empty()) {
+            r.message = name + ": CLI exited " + std::to_string(code) +
+                        " under " + combo + "\n  stderr: " + err.str();
+            return r;
+        }
+        if (first) {
+            output = out.str();
+        } else if (out.str() != output) {
+            r.message = name + ": output differs between " +
+                        base_combo + " and " + combo + "\n" +
+                        firstDifference(output, out.str());
+            return r;
+        }
+        for (size_t i = 0; i < opts.artifact_files.size(); ++i) {
+            auto text = readArtifact(opts.artifact_files[i]);
+            if (!text) {
+                r.message = name + ": command did not write '" +
+                            opts.artifact_files[i] + "' under " +
+                            combo;
                 return r;
             }
             if (first) {
-                output = out.str();
-            } else if (out.str() != output) {
-                r.message = name + ": output differs between " +
-                            "--threads " +
-                            std::to_string(opts.thread_counts[0]) +
-                            " --shards " +
-                            std::to_string(opts.shard_counts[0]) +
+                artifacts[i] = std::move(*text);
+            } else if (*text != artifacts[i]) {
+                r.message = name + ": artifact '" +
+                            opts.artifact_files[i] +
+                            "' differs between " + base_combo +
                             " and " + combo + "\n" +
-                            firstDifference(output, out.str());
+                            firstDifference(artifacts[i], *text);
                 return r;
             }
-            for (size_t i = 0; i < opts.artifact_files.size(); ++i) {
-                auto text = readArtifact(opts.artifact_files[i]);
-                if (!text) {
-                    r.message = name + ": command did not write '" +
-                                opts.artifact_files[i] + "' under " +
-                                combo;
-                    return r;
-                }
-                if (first) {
-                    artifacts[i] = std::move(*text);
-                } else if (*text != artifacts[i]) {
-                    r.message = name + ": artifact '" +
-                                opts.artifact_files[i] +
-                                "' differs between --threads " +
-                                std::to_string(
-                                    opts.thread_counts[0]) +
-                                " --shards " +
-                                std::to_string(opts.shard_counts[0]) +
-                                " and " + combo + "\n" +
-                                firstDifference(artifacts[i], *text);
-                    return r;
-                }
-            }
-            first = false;
         }
     }
 
@@ -198,9 +181,8 @@ checkGolden(const std::string &name,
     r.ok = true;
     r.message = name + ": matched (" +
                 std::to_string(output.size()) + " bytes, " +
-                std::to_string(opts.thread_counts.size() *
-                               opts.shard_counts.size()) +
-                " thread x shard combinations, " +
+                std::to_string(opts.thread_counts.size()) +
+                " thread counts, " +
                 std::to_string(snaps.size()) + " snapshot(s))";
     return r;
 }

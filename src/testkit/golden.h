@@ -40,17 +40,10 @@ struct GoldenOptions
      */
     std::vector<int> thread_counts{1, 2, 8};
     /**
-     * --shards values to cross with every thread count; all
-     * thread x shard combinations must produce byte-identical
-     * stdout (the sharded-engine determinism contract). The default
-     * keeps commands that never touch the event engine cheap.
-     */
-    std::vector<int> shard_counts{1};
-    /**
      * Files the command writes (e.g. a --timeline export) to hold to
-     * the same contract as stdout: after every thread x shard combo
-     * the harness reads each file, requires byte-identity across the
-     * matrix, and compares/records it against
+     * the same contract as stdout: after every thread count the
+     * harness reads each file, requires byte-identity across the
+     * runs, and compares/records it against
      * <name>.<basename>.golden. Paths are read as given (tests
      * chdir into their scratch directory).
      */
@@ -77,7 +70,7 @@ bool updateGoldensRequested();
  *
  * @param name Snapshot name (file becomes <name>.golden).
  * @param args CLI arguments, excluding the program name and
- *             --threads/--shards (the harness appends both).
+ *             --threads (the harness appends it).
  */
 GoldenResult checkGolden(const std::string &name,
                          const std::vector<std::string> &args,

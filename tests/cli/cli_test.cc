@@ -424,6 +424,35 @@ TEST(CliTest, ServeAndCapacitySurfaceFleetValidationAsErrors)
     }
 }
 
+// A bad SLO is a usage error caught before any simulation runs, so
+// nothing reaches stdout.
+TEST(CliTest, ServeRejectsNonPositiveSloBeforeSimulating)
+{
+    for (const char *slo : {"-1", "0", "nan", "inf"}) {
+        auto r = runCli({"serve", "bert", "--slo-ms", slo});
+        EXPECT_EQ(r.code, 1) << slo;
+        EXPECT_NE(r.err.find("error: flag --slo-ms"), std::string::npos)
+            << slo << ": " << r.err;
+        EXPECT_TRUE(r.out.empty()) << slo << ": " << r.out;
+    }
+    auto r = runCli({"capacity", "bert", "--slo-ms", "-1"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("error: flag --slo-ms"), std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
+TEST(CliTest, RemovedShardsFlagIsRejected)
+{
+    auto r = runCli({"generate", "--jobs", "5", "--shards", "1"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_NE(r.err.find("error: --shards was removed: the event "
+                         "engine is a single queue"),
+              std::string::npos)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+}
+
 TEST(CliTest, CapacityReportsServersNeeded)
 {
     auto r = runCli({"capacity", "resnet50", "--qps", "3000",

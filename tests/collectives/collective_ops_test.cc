@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "collectives/collective_ops.h"
 
 namespace paichar::collectives {
@@ -147,6 +149,22 @@ TEST(CollectiveOpsTest, ZeroBytesCompletesImmediately)
         ops.ringAllReduce(cluster.gpuGroup(8), 0.0, std::move(done));
     });
     EXPECT_DOUBLE_EQ(t, 0.0);
+}
+
+// The phase-chaining closure must not own itself: once a multi-phase
+// collective completes, nothing may still hold the caller's callback
+// (or, through it, anything the callback captured).
+TEST(CollectiveOpsTest, CompletedCollectiveReleasesItsCallback)
+{
+    sim::ClusterSim cluster(config(1));
+    CollectiveOps ops(cluster.eventQueue(), kLat);
+    auto sentinel = std::make_shared<int>(0);
+    bool fired = false;
+    ops.ringAllReduce(cluster.gpuGroup(8), 1e9,
+                      [sentinel, &fired](sim::SimTime) { fired = true; });
+    cluster.eventQueue().run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 /** Volume property: per-GPU ring traffic equals 2(n-1)/n * bytes. */

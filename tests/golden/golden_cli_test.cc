@@ -66,12 +66,10 @@ class GoldenCliTest : public ::testing::Test
     void
     expectGolden(const std::string &name,
                  const std::vector<std::string> &args,
-                 std::vector<int> shard_counts = {1},
                  std::vector<std::string> artifact_files = {})
     {
         GoldenOptions opts;
         opts.dir = PAICHAR_GOLDEN_DIR;
-        opts.shard_counts = std::move(shard_counts);
         opts.artifact_files = std::move(artifact_files);
         GoldenResult r = checkGolden(name, args, opts);
         EXPECT_TRUE(r.ok) << r.message;
@@ -91,33 +89,30 @@ TEST_F(GoldenCliTest, Generate)
 
 TEST_F(GoldenCliTest, Characterize)
 {
-    expectGolden("characterize", {"characterize", "golden_trace.csv"},
-                 {1, 2, 8});
+    expectGolden("characterize", {"characterize", "golden_trace.csv"});
 }
 
-// The scheduler drives the sharded event engine directly, so this
-// snapshot crosses every --threads with every --shards count: the
-// 3x3 matrix must be byte-identical before it may match the golden.
+// The scheduler fans its predictions out over the thread pool, so
+// every --threads count must be byte-identical before it may match
+// the golden.
 TEST_F(GoldenCliTest, Schedule)
 {
     expectGolden("schedule",
                  {"schedule", "golden_trace.csv", "--servers", "48",
-                  "--rate", "120"},
-                 {1, 2, 8});
+                  "--rate", "120"});
 }
 
 // Policy matrix: each scheduling policy snapshot runs under every
-// --threads count crossed with --shards 1 and 4 and must stay
-// byte-identical before it may match its golden — the policy layer
-// (queue reordering, reservations, preemption, gang admission) may
-// not leak scheduling nondeterminism into results.
+// --threads count and must stay byte-identical before it may match
+// its golden — the policy layer (queue reordering, reservations,
+// preemption, gang admission) may not leak scheduling
+// nondeterminism into results.
 
 TEST_F(GoldenCliTest, ScheduleFifo)
 {
     expectGolden("schedule_fifo",
                  {"schedule", "golden_trace.csv", "--servers", "48",
-                  "--rate", "120", "--policy", "fifo"},
-                 {1, 4});
+                  "--rate", "120", "--policy", "fifo"});
 }
 
 TEST_F(GoldenCliTest, ScheduleSpf)
@@ -125,19 +120,17 @@ TEST_F(GoldenCliTest, ScheduleSpf)
     expectGolden("schedule_spf",
                  {"schedule", "golden_trace.csv", "--servers", "48",
                   "--rate", "120", "--policy", "spf",
-                  "--compare-fifo", "1"},
-                 {1, 4});
+                  "--compare-fifo", "1"});
 }
 
 // spf-preempt exercises the generation-checked finish events and
 // restart-from-last-step path; determinism here means preemption
-// decisions are identical across shard layouts.
+// decisions are identical at every thread count.
 TEST_F(GoldenCliTest, ScheduleSpfPreempt)
 {
     expectGolden("schedule_spf_preempt",
                  {"schedule", "golden_trace.csv", "--servers", "48",
-                  "--rate", "120", "--policy", "spf-preempt"},
-                 {1, 4});
+                  "--rate", "120", "--policy", "spf-preempt"});
 }
 
 TEST_F(GoldenCliTest, ScheduleGang)
@@ -145,8 +138,7 @@ TEST_F(GoldenCliTest, ScheduleGang)
     expectGolden("schedule_gang",
                  {"schedule", "golden_trace.csv", "--servers", "48",
                   "--rate", "120", "--policy", "gang", "--hetero",
-                  "0.25", "--placement", "best-fit"},
-                 {1, 4});
+                  "0.25", "--placement", "best-fit"});
 }
 
 TEST_F(GoldenCliTest, Sweep)
@@ -183,15 +175,14 @@ TEST_F(GoldenCliTest, PlanBertJson)
 }
 
 // Serving-fleet snapshots: the fleet is a single-threaded totally
-// ordered event loop, so its output must be byte-identical across
-// the full --threads x --shards matrix like every other subcommand.
+// ordered event loop, so its output must be byte-identical at every
+// --threads count like every other subcommand.
 
 TEST_F(GoldenCliTest, Serve)
 {
     expectGolden("serve",
                  {"serve", "resnet50", "--qps", "400", "--requests",
-                  "5000"},
-                 {1, 2, 8});
+                  "5000"});
 }
 
 TEST_F(GoldenCliTest, ServeFleet)
@@ -200,8 +191,7 @@ TEST_F(GoldenCliTest, ServeFleet)
                  {"serve", "resnet50", "--servers", "4", "--routing",
                   "p2c", "--batching", "continuous", "--arrival",
                   "diurnal", "--qps", "2500", "--admit", "48",
-                  "--requests", "8000"},
-                 {1, 2, 8});
+                  "--requests", "8000"});
 }
 
 // Long enough (60k requests at 1800 qps is ~33 s of arrivals) for
@@ -211,29 +201,26 @@ TEST_F(GoldenCliTest, ServeAutoscale)
     expectGolden("serve_autoscale",
                  {"serve", "resnet50", "--autoscale", "1",
                   "--arrival", "bursty", "--qps", "1800",
-                  "--requests", "60000"},
-                 {1, 2, 8});
+                  "--requests", "60000"});
 }
 
 TEST_F(GoldenCliTest, Capacity)
 {
     expectGolden("capacity",
                  {"capacity", "resnet50", "--qps", "3000",
-                  "--slo-ms", "40", "--requests", "8000"},
-                 {1, 2, 8});
+                  "--slo-ms", "40", "--requests", "8000"});
 }
 
 // Timeline exports are held to the same determinism bar as stdout:
-// the harness byte-compares the written CSV across the full
-// --threads x --shards matrix and against its own snapshot.
+// the harness byte-compares the written CSV across every --threads
+// count and against its own snapshot.
 
 TEST_F(GoldenCliTest, ScheduleTimeline)
 {
     expectGolden("schedule_timeline",
                  {"schedule", "golden_trace.csv", "--servers", "48",
                   "--rate", "120", "--timeline", "schedule_tl.csv",
-                  "--timeline-interval", "60"},
-                 {1, 2, 8}, {"schedule_tl.csv"});
+                  "--timeline-interval", "60"}, {"schedule_tl.csv"});
 }
 
 // The SLO-driven autoscaler under bursty load, with the fleet-size
@@ -246,7 +233,7 @@ TEST_F(GoldenCliTest, ServeSloTimeline)
                   "--slo-ms", "10", "--arrival", "bursty", "--qps",
                   "1800", "--requests", "60000", "--timeline",
                   "serve_tl.csv", "--timeline-interval", "5"},
-                 {1, 2, 8}, {"serve_tl.csv"});
+                 {"serve_tl.csv"});
 }
 
 } // namespace

@@ -177,7 +177,7 @@ TEST(TimelineTest, AdvanceToIsMonotone)
     Timeline tl(10.0);
     Timeline::Rate &r = tl.rate("events");
     tl.advanceTo(15.0);
-    // Going backwards is ignored, not an error (shard rounds may
+    // Going backwards is ignored, not an error (a caller may
     // re-announce an already-passed horizon).
     tl.advanceTo(5.0);
     r.add();
@@ -395,6 +395,30 @@ TEST(TimelineCliTest, ServeWritesTimelineAndObsTimelineReads)
                      "no.such.series"},
                     uout, uerr);
     EXPECT_EQ(code, 1);
+}
+
+// diagnose drains the testbed's event queue to completion while the
+// timeline records, then runs the planner, whose simulations on pool
+// workers stay out of the timeline. Same rows at every thread count.
+TEST(TimelineCliTest, DiagnoseRecordsTestbedEventsAtAnyThreadCount)
+{
+    ScratchDir scratch;
+    std::string first;
+    for (const char *threads : {"1", "4"}) {
+        fs::path csv = scratch.dir / (std::string("tl") + threads);
+        std::ostringstream out, err;
+        int code = cli::run({"diagnose", "resnet50", "--threads",
+                             threads, "--timeline", csv.string(),
+                             "--timeline-interval", "0.05"},
+                            out, err);
+        ASSERT_EQ(code, 0) << err.str();
+        std::string text = readAll(csv);
+        EXPECT_NE(text.find(",sim.events,"), std::string::npos) << text;
+        if (first.empty())
+            first = text;
+        else
+            EXPECT_EQ(text, first) << "--threads " << threads;
+    }
 }
 
 TEST(TimelineCliTest, TimelineDiffExitsTwoOnRegression)

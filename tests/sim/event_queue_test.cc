@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/timeline.h"
 #include "sim/event_queue.h"
 
 namespace paichar::sim {
@@ -80,6 +81,60 @@ TEST(EventQueueTest, EmptyRunReturnsNow)
 {
     EventQueue eq;
     EXPECT_DOUBLE_EQ(eq.run(), 0.0);
+}
+
+/** The `sim.events` rows of the process-wide timeline, in order. */
+std::vector<double>
+simEventsRows()
+{
+    std::vector<double> values;
+    for (const obs::TimelineRow &r : obs::timeline()->rows()) {
+        if (r.series == "sim.events")
+            values.push_back(r.value);
+    }
+    return values;
+}
+
+/** Two events in window 0 of a 10 s timeline, none in 1, one in 2. */
+void
+scheduleTimelineEvents(EventQueue &eq, int &fired)
+{
+    eq.schedule(1.0, [&] { ++fired; });
+    eq.schedule(1.0, [&] { ++fired; });
+    eq.schedule(25.0, [&] { ++fired; });
+}
+
+// While a timeline records, a drain attributes each timestamp's
+// events to that timestamp's window, with explicit zeros between.
+TEST(EventQueueTest, RunRecordsSimEventsPerTimelineWindow)
+{
+    obs::startTimeline(10.0);
+    EventQueue eq;
+    int fired = 0;
+    scheduleTimelineEvents(eq, fired);
+    EXPECT_DOUBLE_EQ(eq.run(), 25.0);
+    EXPECT_EQ(fired, 3);
+    // Window 2 is still open: run() does not advance past its last
+    // event.
+    EXPECT_EQ(simEventsRows(), (std::vector<double>{2, 0}));
+    obs::stopTimeline();
+    EXPECT_EQ(simEventsRows(), (std::vector<double>{2, 0, 1}));
+}
+
+TEST(EventQueueTest, RunUntilRecordsSimEventsAndAdvancesTimeline)
+{
+    obs::startTimeline(10.0);
+    EventQueue eq;
+    int fired = 0;
+    scheduleTimelineEvents(eq, fired);
+    eq.schedule(60.0, [&] { ++fired; });
+    EXPECT_DOUBLE_EQ(eq.runUntil(45.0), 45.0);
+    EXPECT_EQ(fired, 3);
+    EXPECT_EQ(eq.pending(), 1u);
+    // The trailing advanceTo(45) closes window 3 (empty) as well.
+    EXPECT_EQ(simEventsRows(), (std::vector<double>{2, 0, 1, 0}));
+    obs::stopTimeline();
+    EXPECT_EQ(simEventsRows(), (std::vector<double>{2, 0, 1, 0, 0}));
 }
 
 TEST(EventQueueTest, RunBeforeExcludesTheBound)
