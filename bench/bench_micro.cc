@@ -22,7 +22,9 @@
  * against the arena/ladder EventQueue on an 8M-event drain (recorded
  * in BENCH_sim_engine.json). A sixth serving section records
  * simulated-requests-per-second of the seed single-server simulator
- * against the fleet event loop (BENCH_serving.json).
+ * against the fleet event loop (BENCH_serving.json). A seventh
+ * characterize-queries section times the Fig 5-8 query set over a
+ * paib-mapped 1M-job trace (BENCH_characterize.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -34,6 +36,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -191,6 +194,20 @@ BM_TrainingStep(benchmark::State &state)
 }
 BENCHMARK(BM_TrainingStep);
 
+/** The positive integer in environment variable @p name, else
+    @p fallback. */
+size_t
+envCount(const char *name, size_t fallback)
+{
+    if (const char *env = std::getenv(name)) {
+        char *end = nullptr;
+        long v = std::strtol(env, &end, 10);
+        if (end != env && *end == '\0' && v > 0)
+            return static_cast<size_t>(v);
+    }
+    return fallback;
+}
+
 /**
  * The pre-PR-2 serial CSV parser, kept verbatim as the trace-I/O
  * baseline: per-character splitting into freshly allocated
@@ -306,13 +323,7 @@ fromCsv(const std::string &text)
 void
 runTraceIoSection()
 {
-    size_t jobs_n = 1000000;
-    if (const char *env = std::getenv("PAICHAR_TRACE_BENCH_JOBS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            jobs_n = static_cast<size_t>(v);
-    }
+    size_t jobs_n = envCount("PAICHAR_TRACE_BENCH_JOBS", 1000000);
     constexpr int kReps = 3;
 
     trace::SyntheticClusterGenerator gen(7);
@@ -473,13 +484,7 @@ runThreadScalingSection()
 void
 runObsOverheadSection()
 {
-    size_t jobs_n = 1000000;
-    if (const char *env = std::getenv("PAICHAR_TRACE_BENCH_JOBS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            jobs_n = static_cast<size_t>(v);
-    }
+    size_t jobs_n = envCount("PAICHAR_TRACE_BENCH_JOBS", 1000000);
     constexpr int kReps = 5;
 
     trace::SyntheticClusterGenerator gen(7);
@@ -550,14 +555,8 @@ runObsInstrumentationOverheadSection()
 
     // --- serving-sim: span + counters added in src/inference ---
     {
-        int64_t requests_n = 200000;
-        if (const char *env =
-                std::getenv("PAICHAR_TRACE_BENCH_JOBS")) {
-            char *end = nullptr;
-            long v = std::strtol(env, &end, 10);
-            if (end != env && *end == '\0' && v > 0)
-                requests_n = std::max<long>(v, 100);
-        }
+        auto requests_n = static_cast<int64_t>(std::max<size_t>(
+            envCount("PAICHAR_TRACE_BENCH_JOBS", 200000), 100));
         auto model = workload::ModelZoo::all().front();
         auto w = inference::InferenceWorkload::fromTraining(model);
         inference::ServingSimulator sim(
@@ -614,15 +613,8 @@ runObsInstrumentationOverheadSection()
 
     // --- cluster scheduler: the per-job JobRecord sink ---
     {
-        size_t jobs_n = 10000;
-        if (const char *env =
-                std::getenv("PAICHAR_TRACE_BENCH_JOBS")) {
-            char *end = nullptr;
-            long v = std::strtol(env, &end, 10);
-            if (end != env && *end == '\0' && v > 0)
-                jobs_n = std::max<size_t>(
-                    static_cast<size_t>(v) / 10, 100);
-        }
+        size_t jobs_n = std::max<size_t>(
+            envCount("PAICHAR_TRACE_BENCH_JOBS", 100000) / 10, 100);
         trace::SyntheticClusterGenerator gen(7);
         auto jobs = gen.generate(jobs_n, runtime::globalPool());
         clustersim::SchedulerConfig cfg;
@@ -861,14 +853,7 @@ simBenchMix(uint64_t x)
 void
 runSimEngineSection()
 {
-    size_t events_n = 8000000;
-    if (const char *env =
-            std::getenv("PAICHAR_SIM_BENCH_EVENTS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            events_n = static_cast<size_t>(v);
-    }
+    size_t events_n = envCount("PAICHAR_SIM_BENCH_EVENTS", 8000000);
     constexpr int kReps = 3;
     constexpr double kHorizon = 1000.0;
     int threads = runtime::threadCount();
@@ -973,14 +958,8 @@ runSimEngineSection()
 void
 runServingSection()
 {
-    int64_t requests = 200000;
-    if (const char *env =
-            std::getenv("PAICHAR_SERVE_BENCH_REQUESTS")) {
-        char *end = nullptr;
-        long v = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            requests = v;
-    }
+    auto requests = static_cast<int64_t>(
+        envCount("PAICHAR_SERVE_BENCH_REQUESTS", 200000));
     constexpr int kReps = 3;
     auto w = inference::InferenceWorkload::fromTraining(
         workload::ModelZoo::resnet50());
@@ -1065,6 +1044,99 @@ runServingSection()
     std::printf("\n");
 }
 
+/**
+ * Characterize-queries section: ClusterCharacterizer over a
+ * paib-mapped trace, then the Fig 5-8 queries perfbench's
+ * characterize-1m workload makes -- the constitution; per present
+ * architecture a cNode-count CDF and job- and cNode-level averages;
+ * the weight-size CDF; the four component and five hardware-component
+ * CDFs at cNode level; the cluster average. Every CDF is read through
+ * median(), so its sort is timed too. One row per thread count (1 and
+ * 4): the process-wide count is set for the row, so the characterizer
+ * and the CDF sorts share one pool. Best of 3 reps; the construct and
+ * query split is the best rep's. Job count defaults to 1M; override
+ * with PAICHAR_TRACE_BENCH_JOBS (BENCH_characterize.json).
+ */
+void
+runCharacterizeQueriesSection()
+{
+    size_t jobs_n = envCount("PAICHAR_TRACE_BENCH_JOBS", 1000000);
+    constexpr int kReps = 3;
+
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "paichar_bench_characterize.paib")
+                           .string();
+    trace::SyntheticClusterGenerator gen(7);
+    if (!trace::writeTraceFile(
+            path, gen.generate(jobs_n, runtime::globalPool()),
+            trace::TraceFormat::Binary)) {
+        std::printf("# characterize-queries: cannot write %s\n\n",
+                    path.c_str());
+        return;
+    }
+    auto loaded = trace::readTraceStore(path);
+    if (!loaded.ok) {
+        std::printf("# characterize-queries: %s\n\n",
+                    loaded.error.c_str());
+        std::filesystem::remove(path);
+        return;
+    }
+    core::AnalyticalModel model(hw::paiCluster());
+
+    std::printf("# characterize-queries: %zu jobs (paib, mapped), "
+                "13 CDFs + 7 averages + constitution, best of %d "
+                "reps\n",
+                jobs_n, kReps);
+    for (int threads : {1, 4}) {
+        runtime::setThreadCount(threads);
+        double best = 0.0, best_construct = 0.0;
+        for (int rep = 0; rep < kReps; ++rep) {
+            auto t0 = std::chrono::steady_clock::now();
+            core::ClusterCharacterizer ch(model, loaded.store,
+                                          runtime::globalPool());
+            auto t1 = std::chrono::steady_clock::now();
+            double digest = 0.0;
+            auto c = ch.constitution();
+            for (workload::ArchType arch : workload::kAllArchTypes) {
+                if (c.job_counts.count(arch) == 0)
+                    continue;
+                digest += ch.cnodeCountCdf(arch).median();
+                for (auto level : {core::Level::Job, core::Level::CNode})
+                    digest += ch.avgBreakdown(arch, level)[1];
+            }
+            digest += ch.weightSizeCdf(std::nullopt).median();
+            for (core::Component comp : core::kAllComponents) {
+                digest += ch.componentCdf(comp, std::nullopt,
+                                          core::Level::CNode)
+                              .median();
+            }
+            for (core::HwComponent h : core::kAllHwComponents)
+                digest += ch.hwComponentCdf(h, core::Level::CNode)
+                              .median();
+            digest +=
+                ch.avgBreakdown(std::nullopt, core::Level::CNode)[1];
+            benchmark::DoNotOptimize(digest);
+            auto t2 = std::chrono::steady_clock::now();
+            double sec = std::chrono::duration<double>(t2 - t0).count();
+            if (rep == 0 || sec < best) {
+                best = sec;
+                best_construct =
+                    std::chrono::duration<double>(t1 - t0).count();
+            }
+        }
+        std::printf("{\"bench\":\"characterize_queries\",\"jobs\":%zu,"
+                    "\"threads\":%d,\"seconds\":%.6f,"
+                    "\"construct_s\":%.6f,\"queries_s\":%.6f,"
+                    "\"jobs_per_s\":%.0f}\n",
+                    jobs_n, threads, best, best_construct,
+                    best - best_construct,
+                    static_cast<double>(jobs_n) / best);
+    }
+    runtime::setThreadCount(0);
+    std::filesystem::remove(path);
+    std::printf("\n");
+}
+
 } // namespace
 
 int
@@ -1077,6 +1149,7 @@ main(int argc, char **argv)
     runPlannerSection();
     runSimEngineSection();
     runServingSection();
+    runCharacterizeQueriesSection();
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

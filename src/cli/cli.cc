@@ -353,7 +353,16 @@ formatFromExtension(const std::string &path)
 int
 cmdGenerate(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto jobs_n = static_cast<size_t>(args.numFlag("jobs", 20000));
+    // Checked before the cast: a negative count would wrap to a
+    // vector length the generator cannot allocate.
+    double jobs_flag = args.numFlag("jobs", 20000);
+    if (!(jobs_flag >= 1) || jobs_flag != std::floor(jobs_flag) ||
+        jobs_flag >
+            static_cast<double>(std::vector<TrainingJob>().max_size())) {
+        err << "error: --jobs expects a positive integer\n";
+        return 1;
+    }
+    auto jobs_n = static_cast<size_t>(jobs_flag);
     auto seed = static_cast<uint64_t>(args.numFlag("seed", 20181201));
     auto out_file = args.flag("out");
     // Like convert: the --out extension picks the format (.paib/.bin

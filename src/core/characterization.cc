@@ -12,24 +12,37 @@ using workload::TrainingJob;
 
 namespace {
 
-/** Weighted samples collected per fixed-size chunk; appending the
- *  chunks in order reproduces the serial insertion order exactly. */
-using SampleVec = std::vector<std::pair<double, double>>;
-
-SampleVec
-appendSamples(SampleVec acc, SampleVec part)
-{
-    acc.insert(acc.end(), part.begin(), part.end());
-    return acc;
-}
-
+/**
+ * The weighted samples sample(i) of every i in [0, n) with keep(i),
+ * in index order, as a CDF. One pass counts the kept indices of each
+ * fixed-size chunk; after a prefix sum, a second pass writes each
+ * chunk's samples into its own slice of one preallocated vector, so
+ * the order is the serial insertion order at every thread count.
+ */
+template <typename Keep, typename Sample>
 stats::WeightedCdf
-toCdf(const SampleVec &samples)
+collectCdf(runtime::ThreadPool *pool, size_t n, Keep &&keep,
+           Sample &&sample)
 {
-    stats::WeightedCdf cdf;
-    for (const auto &[value, weight] : samples)
-        cdf.add(value, weight);
-    return cdf;
+    constexpr size_t grain = runtime::kReduceGrain;
+    std::vector<size_t> start((n + grain - 1) / grain + 1, 0);
+    runtime::parallelForChunks(pool, n, grain, [&](size_t lo, size_t hi) {
+        size_t kept = 0;
+        for (size_t i = lo; i < hi; ++i)
+            kept += keep(i) ? 1 : 0;
+        start[lo / grain + 1] = kept;
+    });
+    for (size_t c = 1; c < start.size(); ++c)
+        start[c] += start[c - 1];
+    std::vector<std::pair<double, double>> samples(start.back());
+    runtime::parallelForChunks(pool, n, grain, [&](size_t lo, size_t hi) {
+        size_t out = start[lo / grain];
+        for (size_t i = lo; i < hi; ++i) {
+            if (keep(i))
+                samples[out++] = sample(i);
+        }
+    });
+    return stats::WeightedCdf(std::move(samples));
 }
 
 } // namespace
@@ -93,11 +106,13 @@ Constitution
 ClusterCharacterizer::constitution() const
 {
     Constitution c;
-    for (const TrainingJob &job : jobs_) {
-        ++c.job_counts[job.arch];
-        c.cnode_counts[job.arch] += job.num_cnodes;
+    for (size_t i = 0; i < jobs_.size(); ++i) {
+        ArchType arch = jobs_.arch(i);
+        int cnodes = jobs_.numCnodes(i);
+        ++c.job_counts[arch];
+        c.cnode_counts[arch] += cnodes;
         ++c.total_jobs;
-        c.total_cnodes += job.num_cnodes;
+        c.total_cnodes += cnodes;
     }
     return c;
 }
@@ -105,47 +120,32 @@ ClusterCharacterizer::constitution() const
 stats::WeightedCdf
 ClusterCharacterizer::cnodeCountCdf(ArchType arch) const
 {
-    auto samples = runtime::parallelReduce(
-        pool_, jobs_.size(), SampleVec{},
-        [&](size_t lo, size_t hi) {
-            SampleVec part;
-            for (size_t i = lo; i < hi; ++i) {
-                const TrainingJob job = jobs_.job(i);
-                if (job.arch == arch)
-                    part.emplace_back(
-                        static_cast<double>(job.num_cnodes), 1.0);
-            }
-            return part;
-        },
-        appendSamples);
-    return toCdf(samples);
+    return collectCdf(
+        pool_, jobs_.size(),
+        [&](size_t i) { return jobs_.arch(i) == arch; },
+        [&](size_t i) {
+            return std::pair(static_cast<double>(jobs_.numCnodes(i)),
+                             1.0);
+        });
 }
 
 stats::WeightedCdf
 ClusterCharacterizer::weightSizeCdf(std::optional<ArchType> arch) const
 {
-    auto samples = runtime::parallelReduce(
-        pool_, jobs_.size(), SampleVec{},
-        [&](size_t lo, size_t hi) {
-            SampleVec part;
-            for (size_t i = lo; i < hi; ++i) {
-                const TrainingJob job = jobs_.job(i);
-                if (!arch || job.arch == *arch)
-                    part.emplace_back(job.features.weightBytes(),
-                                      1.0);
-            }
-            return part;
-        },
-        appendSamples);
-    return toCdf(samples);
+    return collectCdf(
+        pool_, jobs_.size(),
+        [&](size_t i) { return !arch || jobs_.arch(i) == *arch; },
+        [&](size_t i) {
+            return std::pair(jobs_.job(i).features.weightBytes(), 1.0);
+        });
 }
 
 double
-ClusterCharacterizer::levelWeight(const TrainingJob &job,
-                                  Level level) const
+ClusterCharacterizer::levelWeight(size_t i, Level level) const
 {
-    return level == Level::Job ? 1.0
-                               : static_cast<double>(job.num_cnodes);
+    return level == Level::Job
+               ? 1.0
+               : static_cast<double>(jobs_.numCnodes(i));
 }
 
 std::array<double, 4>
@@ -164,10 +164,9 @@ ClusterCharacterizer::avgBreakdown(std::optional<ArchType> arch,
         [&](size_t lo, size_t hi) {
             Partial part;
             for (size_t i = lo; i < hi; ++i) {
-                const TrainingJob job = jobs_.job(i);
-                if (arch && job.arch != *arch)
+                if (arch && jobs_.arch(i) != *arch)
                     continue;
-                double w = levelWeight(job, level);
+                double w = levelWeight(i, level);
                 for (size_t c = 0; c < 4; ++c)
                     part.acc[c] +=
                         w * breakdowns_[i].fraction(kAllComponents[c]);
@@ -195,38 +194,24 @@ ClusterCharacterizer::componentCdf(Component c,
 {
     obs::Span span("core.component_cdf",
                    static_cast<int64_t>(jobs_.size()));
-    auto samples = runtime::parallelReduce(
-        pool_, jobs_.size(), SampleVec{},
-        [&](size_t lo, size_t hi) {
-            SampleVec part;
-            for (size_t i = lo; i < hi; ++i) {
-                const TrainingJob job = jobs_.job(i);
-                if (arch && job.arch != *arch)
-                    continue;
-                part.emplace_back(breakdowns_[i].fraction(c),
-                                  levelWeight(job, level));
-            }
-            return part;
-        },
-        appendSamples);
-    return toCdf(samples);
+    return collectCdf(
+        pool_, jobs_.size(),
+        [&](size_t i) { return !arch || jobs_.arch(i) == *arch; },
+        [&](size_t i) {
+            return std::pair(breakdowns_[i].fraction(c),
+                             levelWeight(i, level));
+        });
 }
 
 stats::WeightedCdf
 ClusterCharacterizer::hwComponentCdf(HwComponent h, Level level) const
 {
-    auto samples = runtime::parallelReduce(
-        pool_, jobs_.size(), SampleVec{},
-        [&](size_t lo, size_t hi) {
-            SampleVec part;
-            for (size_t i = lo; i < hi; ++i) {
-                part.emplace_back(breakdowns_[i].hwFraction(h),
-                                  levelWeight(jobs_.job(i), level));
-            }
-            return part;
-        },
-        appendSamples);
-    return toCdf(samples);
+    return collectCdf(
+        pool_, jobs_.size(), [](size_t) { return true; },
+        [&](size_t i) {
+            return std::pair(breakdowns_[i].hwFraction(h),
+                             levelWeight(i, level));
+        });
 }
 
 } // namespace paichar::core

@@ -117,8 +117,8 @@ class ClusterCharacterizer
     stats::WeightedCdf hwComponentCdf(HwComponent h, Level level) const;
 
   private:
-    double levelWeight(const workload::TrainingJob &job,
-                       Level level) const;
+    /** Weight of jobs()[i] at @p level. */
+    double levelWeight(size_t i, Level level) const;
 
     const AnalyticalModel &model_;
     workload::JobStore jobs_;

@@ -10,7 +10,10 @@
  *  - parallelReduce splits the range into fixed-size chunks whose
  *    boundaries depend only on the grain (never on the thread count),
  *    accumulates each chunk serially in index order, and combines the
- *    chunk partials in chunk order on the calling thread.
+ *    chunk partials in chunk order on the calling thread;
+ *  - parallelSort sorts fixed-length runs whose boundaries depend only
+ *    on the length, then merges them with a stable merge, so even the
+ *    order of equal elements is the same at every thread count.
  *
  * Nested calls from inside a pool task run inline (serially) instead
  * of deadlocking on their own pool. Exceptions thrown by loop bodies
@@ -126,6 +129,79 @@ parallelReduce(ThreadPool *pool, size_t n, Acc init, ChunkFn &&chunkFn,
     for (size_t c = 0; c < chunks; ++c)
         acc = combine(std::move(acc), std::move(partials[c]));
     return acc;
+}
+
+/**
+ * Run length of parallelSort. Inputs no longer than one run take a
+ * plain std::sort; longer ones are sorted run by run and merged.
+ */
+inline constexpr size_t kSortRun = size_t{1} << 15;
+
+/**
+ * Sort @p v by @p comp on @p pool, with output independent of the
+ * thread count (including the serial path and nested calls).
+ *
+ * Up to kSortRun elements this is exactly std::sort. Longer inputs
+ * are cut into runs of kSortRun elements (boundaries depend only on
+ * v.size()), each run is std::sort-ed as one task, and the runs are
+ * merged pairwise, level by level, with a stable merge. Every merge
+ * is split into kSortRun-long slices of its output by merge-path
+ * co-ranking, so the last levels -- one or two merges of most of the
+ * input -- still spread over the pool. A stable merge of two given
+ * runs has one possible output, so how the slices are scheduled
+ * cannot change the result. Needs T default-constructible and
+ * copyable (the merge buffer is pre-sized; merges copy).
+ */
+template <typename T, typename Comp>
+void
+parallelSort(ThreadPool *pool, std::vector<T> &v, Comp comp)
+{
+    const size_t n = v.size();
+    if (n <= kSortRun) {
+        std::sort(v.begin(), v.end(), comp);
+        return;
+    }
+    parallelForChunks(pool, n, kSortRun, [&](size_t lo, size_t hi) {
+        std::sort(v.begin() + lo, v.begin() + hi, comp);
+    });
+
+    std::vector<T> buf(n);
+    std::vector<T> *src = &v, *dst = &buf;
+    for (size_t width = kSortRun; width < n; width *= 2) {
+        // Output slice [lo, hi) lies inside one merge of the runs
+        // [base, mid) and [mid, end): 2*width is a multiple of
+        // kSortRun, so no slice straddles two merges.
+        parallelForChunks(pool, n, kSortRun, [&](size_t lo, size_t hi) {
+            const T *s = src->data();
+            size_t base = lo / (2 * width) * (2 * width);
+            size_t mid = std::min(n, base + width);
+            size_t end = std::min(n, base + 2 * width);
+            const T *a = s + base, *b = s + mid;
+            size_t na = mid - base, nb = end - mid;
+            // Co-rank: how many of the first d merged elements come
+            // from run a. A stable merge takes a[i] before b[j] unless
+            // comp(b[j], a[i]), so the count is the first i where
+            // a[i] no longer precedes b[d-i-1].
+            auto corank = [&](size_t d) {
+                size_t l = d > nb ? d - nb : 0, h = std::min(d, na);
+                while (l < h) {
+                    size_t i = l + (h - l) / 2;
+                    if (!comp(b[d - i - 1], a[i]))
+                        l = i + 1;
+                    else
+                        h = i;
+                }
+                return l;
+            };
+            size_t i0 = corank(lo - base), i1 = corank(hi - base);
+            size_t j0 = lo - base - i0, j1 = hi - base - i1;
+            std::merge(a + i0, a + i1, b + j0, b + j1,
+                       dst->begin() + lo, comp);
+        });
+        std::swap(src, dst);
+    }
+    if (src != &v)
+        v.swap(buf);
 }
 
 } // namespace paichar::runtime

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "runtime/parallel.h"
+
 namespace paichar::stats {
 
 namespace {
@@ -20,10 +22,8 @@ throwEmpty(const char *fn)
                            ": no samples added");
 }
 
-} // namespace
-
 void
-WeightedCdf::add(double value, double weight)
+checkSample(double value, double weight)
 {
     if (!std::isfinite(value)) {
         throw std::invalid_argument(
@@ -34,6 +34,23 @@ WeightedCdf::add(double value, double weight)
         throw std::invalid_argument(
             "WeightedCdf::add: weight must be finite and >= 0");
     }
+}
+
+} // namespace
+
+WeightedCdf::WeightedCdf(std::vector<std::pair<double, double>> samples)
+    : samples_(std::move(samples)), sorted_(samples_.empty())
+{
+    for (const auto &[value, weight] : samples_) {
+        checkSample(value, weight);
+        total_weight_ += weight;
+    }
+}
+
+void
+WeightedCdf::add(double value, double weight)
+{
+    checkSample(value, weight);
     samples_.emplace_back(value, weight);
     total_weight_ += weight;
     sorted_ = false;
@@ -44,8 +61,12 @@ WeightedCdf::ensureSorted() const
 {
     if (sorted_)
         return;
-    std::sort(samples_.begin(), samples_.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
+    // Equal values may land in any order, which no query can see as
+    // long as the cumulative weight at the end of each run of equal
+    // values is exact (DESIGN.md Sec 6).
+    runtime::parallelSort(
+        runtime::globalPool(), samples_,
+        [](const auto &a, const auto &b) { return a.first < b.first; });
     cum_weight_.resize(samples_.size());
     double acc = 0.0;
     for (size_t i = 0; i < samples_.size(); ++i) {

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace paichar::stats {
@@ -19,9 +20,11 @@ namespace paichar::stats {
 /**
  * An empirical weighted CDF over double-valued samples.
  *
- * Samples are added with a weight (default 1.0); queries are valid after
- * at least one sample has been added. All queries are lazily backed by a
- * sort of the sample vector, cached until the next insertion.
+ * Samples are added with a weight (default 1.0), one at a time or in
+ * bulk through the vector constructor; queries are valid after at least
+ * one sample has been added. All queries are lazily backed by a sort of
+ * the sample vector (runtime::parallelSort on the global pool), cached
+ * until the next insertion.
  *
  * Error handling is real (exceptions), not assert-only: querying an
  * empty CDF throws std::logic_error, and out-of-domain arguments
@@ -33,6 +36,14 @@ class WeightedCdf
 {
   public:
     WeightedCdf() = default;
+
+    /**
+     * Bulk construction: the same CDF as add()-ing every (value,
+     * weight) pair of @p samples in order, without copying them.
+     * @throws std::invalid_argument with add()'s message at the first
+     *         sample add() would reject.
+     */
+    explicit WeightedCdf(std::vector<std::pair<double, double>> samples);
 
     /** Add one sample with weight 1. */
     void add(double value) { add(value, 1.0); }

@@ -115,6 +115,22 @@ class JobStore
         return j;
     }
 
+    /** job(i).arch, read from its column alone. */
+    ArchType arch(size_t i) const
+    {
+        if (!columnar_)
+            return owned_[i].arch;
+        return static_cast<ArchType>(readRaw<uint8_t>(cols_.archs + i));
+    }
+
+    /** job(i).num_cnodes, read from its column alone. */
+    int numCnodes(size_t i) const
+    {
+        if (!columnar_)
+            return owned_[i].num_cnodes;
+        return readRaw<int32_t>(cols_.cnodes + i * sizeof(int32_t));
+    }
+
     /**
      * The population as a vector. Free in owned mode; in view mode
      * every job is materialized (use only where downstream code

@@ -104,6 +104,28 @@ TEST(CliTest, GenerateToStdout)
     EXPECT_NE(r.out.find("id,arch,num_cnodes"), std::string::npos);
 }
 
+TEST(CliTest, GenerateRejectsNonPositiveOrFractionalJobCount)
+{
+    for (const char *jobs : {"-5", "0", "2.5", "inf", "nan", "1e300"}) {
+        auto r = runCli({"generate", "--jobs", jobs});
+        EXPECT_EQ(r.code, 1) << jobs;
+        EXPECT_EQ(r.err.rfind("error: ", 0), 0u) << jobs << ": " << r.err;
+        EXPECT_NE(r.err.find("--jobs"), std::string::npos) << jobs;
+        EXPECT_TRUE(r.out.empty()) << jobs;
+    }
+
+    // Nothing is generated: no output file appears.
+    std::string path = ::testing::TempDir() + "paichar_cli_neg_jobs.paib";
+    std::remove(path.c_str());
+    auto r = runCli({"generate", "--jobs", "-5", "--out", path});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_TRUE(r.out.empty());
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_EQ(f, nullptr);
+    if (f)
+        std::fclose(f);
+}
+
 TEST(CliTest, GenerateIsSeedDeterministic)
 {
     auto a = runCli({"generate", "--jobs", "50", "--seed", "9"});

@@ -5,13 +5,18 @@
  * the full ClusterCharacterizer query surface, and the Table III
  * hardware sweep on a 10k-job synthetic trace with the serial path,
  * a 2-thread pool, and an (oversubscribed) 8-thread pool, and asserts
- * exact equality on every double produced.
+ * exact equality on every double produced. parallelSort and the
+ * characterizer's one-pass CDF fill are pinned the same way.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/arch_selection.h"
@@ -21,6 +26,7 @@
 #include "hw/hardware_config.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
+#include "stats/rng.h"
 #include "trace/synthetic_cluster.h"
 #include "trace/trace_io.h"
 
@@ -42,11 +48,14 @@ expectSameCdf(const stats::WeightedCdf &a, const stats::WeightedCdf &b,
     EXPECT_EQ(a.totalWeight(), b.totalWeight()) << what;
     if (a.empty())
         return;
+    // mean() first: before any query sorts the samples, it sums them
+    // in insertion order, so it also pins that order.
+    EXPECT_EQ(a.mean(), b.mean()) << what;
     EXPECT_EQ(a.min(), b.min()) << what;
     EXPECT_EQ(a.max(), b.max()) << what;
-    EXPECT_EQ(a.mean(), b.mean()) << what;
     for (double q : {0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99})
         EXPECT_EQ(a.quantile(q), b.quantile(q)) << what << " q" << q;
+    EXPECT_EQ(a.curve(64), b.curve(64)) << what;
 }
 
 void
@@ -271,6 +280,192 @@ TEST(DeterminismTest, CsvParseMatchesAcrossThreadCounts)
         ASSERT_FALSE(e1.ok);
         EXPECT_EQ(e0.error, e1.error);
     }
+}
+
+TEST(ParallelSortTest, SameOutputAtEveryThreadCount)
+{
+    using Item = std::pair<double, int>;
+    // Sort by the key alone: every key repeats, so equal keys carry
+    // distinct tags, and any difference in how a thread count orders
+    // them would show.
+    auto byKey = [](const Item &a, const Item &b) {
+        return a.first < b.first;
+    };
+    runtime::ThreadPool p1(1), p2(2), p4(4);
+    const size_t run = runtime::kSortRun;
+    for (size_t n : {size_t{0}, size_t{1}, run - 1, run, run + 1,
+                     3 * run + 7}) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        stats::Rng rng(n + 1);
+        std::vector<Item> input(n);
+        for (size_t i = 0; i < n; ++i) {
+            input[i] = {static_cast<double>(rng.uniformInt(0, 99)),
+                        static_cast<int>(i)};
+        }
+
+        std::vector<Item> serial = input;
+        runtime::parallelSort(nullptr, serial, byKey);
+        EXPECT_TRUE(std::is_sorted(serial.begin(), serial.end(), byKey));
+        // The merge-path slices change nothing: the result is the
+        // runs' std::sort followed by whole stable pairwise merges.
+        std::vector<Item> merged = input;
+        if (n <= run) {
+            std::sort(merged.begin(), merged.end(), byKey);
+        } else {
+            for (size_t lo = 0; lo < n; lo += run) {
+                std::sort(merged.begin() + lo,
+                          merged.begin() + std::min(n, lo + run), byKey);
+            }
+            for (size_t w = run; w < n; w *= 2) {
+                for (size_t lo = 0; lo + w < n; lo += 2 * w) {
+                    std::inplace_merge(merged.begin() + lo,
+                                       merged.begin() + lo + w,
+                                       merged.begin() +
+                                           std::min(n, lo + 2 * w),
+                                       byKey);
+                }
+            }
+        }
+        EXPECT_EQ(merged, serial);
+        // A permutation of the input: sorting both fully (tags too)
+        // gives the same sequence.
+        std::vector<Item> a = input, b = serial;
+        std::sort(a.begin(), a.end());
+        std::sort(b.begin(), b.end());
+        EXPECT_EQ(a, b);
+
+        for (runtime::ThreadPool *pool : {&p1, &p2, &p4}) {
+            std::vector<Item> v = input;
+            runtime::parallelSort(pool, v, byKey);
+            EXPECT_EQ(serial, v) << pool->size() << " threads";
+        }
+
+        // Nested on a pool worker, the sort runs inline: same output.
+        std::vector<Item> nested = input;
+        runtime::parallelFor(&p4, 1, [&](size_t) {
+            runtime::parallelSort(&p4, nested, byKey);
+        });
+        EXPECT_EQ(serial, nested);
+    }
+}
+
+/**
+ * A CDF built the way the characterizer built them before its
+ * one-pass fill: add() for every kept index, in index order.
+ */
+stats::WeightedCdf
+referenceCdf(size_t n, const std::function<bool(size_t)> &keep,
+             const std::function<std::pair<double, double>(size_t)>
+                 &sample)
+{
+    stats::WeightedCdf cdf;
+    for (size_t i = 0; i < n; ++i) {
+        if (keep(i)) {
+            auto [value, weight] = sample(i);
+            cdf.add(value, weight);
+        }
+    }
+    return cdf;
+}
+
+/** Every CDF query of @p ch against its add()-built reference. */
+void
+expectCdfQueriesMatchReference(const core::ClusterCharacterizer &ch)
+{
+    const workload::JobStore &jobs = ch.jobs();
+    const size_t n = jobs.size();
+    auto weight = [&](size_t i, core::Level level) {
+        return level == core::Level::Job
+                   ? 1.0
+                   : static_cast<double>(jobs.job(i).num_cnodes);
+    };
+    auto inArch = [&](std::optional<ArchType> arch) {
+        return [&jobs, arch](size_t i) {
+            return !arch || jobs.job(i).arch == *arch;
+        };
+    };
+    std::vector<std::optional<ArchType>> arches = {std::nullopt};
+    for (ArchType a : workload::kAllArchTypes)
+        arches.push_back(a);
+
+    for (auto level : {core::Level::Job, core::Level::CNode}) {
+        for (auto arch : arches) {
+            for (auto c : core::kAllComponents) {
+                expectSameCdf(
+                    ch.componentCdf(c, arch, level),
+                    referenceCdf(n, inArch(arch),
+                                 [&](size_t i) {
+                                     return std::pair(
+                                         ch.breakdownOf(i).fraction(c),
+                                         weight(i, level));
+                                 }),
+                    "componentCdf");
+            }
+        }
+        for (auto h : core::kAllHwComponents) {
+            expectSameCdf(
+                ch.hwComponentCdf(h, level),
+                referenceCdf(n, inArch(std::nullopt),
+                             [&](size_t i) {
+                                 return std::pair(
+                                     ch.breakdownOf(i).hwFraction(h),
+                                     weight(i, level));
+                             }),
+                "hwComponentCdf");
+        }
+    }
+    for (auto arch : arches) {
+        if (arch) {
+            expectSameCdf(ch.cnodeCountCdf(*arch),
+                          referenceCdf(n, inArch(arch),
+                                       [&](size_t i) {
+                                           return std::pair(
+                                               weight(i,
+                                                      core::Level::CNode),
+                                               1.0);
+                                       }),
+                          "cnodeCountCdf");
+        }
+        expectSameCdf(
+            ch.weightSizeCdf(arch),
+            referenceCdf(n, inArch(arch),
+                         [&](size_t i) {
+                             return std::pair(
+                                 jobs.job(i).features.weightBytes(),
+                                 1.0);
+                         }),
+            "weightSizeCdf");
+    }
+}
+
+TEST(DeterminismTest, CharacterizerCdfsMatchAddBuiltReference)
+{
+    core::AnalyticalModel model(hw::paiCluster());
+    trace::SyntheticClusterGenerator gen(kSeed);
+    // Over three sort runs, so the CDFs take parallelSort's merges.
+    auto jobs = gen.generate(3 * runtime::kSortRun + 7, nullptr);
+    runtime::ThreadPool p4(4);
+
+    {
+        SCOPED_TRACE("owned store");
+        core::ClusterCharacterizer owned(model, jobs, &p4);
+        expectCdfQueriesMatchReference(owned);
+    }
+
+    std::string path =
+        ::testing::TempDir() + "paichar_determinism_cdf.paib";
+    ASSERT_TRUE(trace::writeTraceFile(path, jobs,
+                                      trace::TraceFormat::Binary));
+    {
+        auto loaded = trace::readTraceStore(path, &p4);
+        ASSERT_TRUE(loaded.ok) << loaded.error;
+        ASSERT_TRUE(loaded.store.columnar());
+        SCOPED_TRACE("paib-mapped store");
+        core::ClusterCharacterizer mapped(model, std::move(loaded.store),
+                                          &p4);
+        expectCdfQueriesMatchReference(mapped);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(AlignedChunksTest, CoversRangeWithSnappedBoundaries)

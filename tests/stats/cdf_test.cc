@@ -5,6 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "runtime/parallel.h"
 #include "stats/cdf.h"
 #include "stats/rng.h"
 
@@ -104,6 +112,130 @@ TEST(WeightedCdfTest, InsertAfterQueryReSorts)
     EXPECT_DOUBLE_EQ(cdf.probAtOrBelow(2.0), 1.0);
     cdf.add(1.0);
     EXPECT_DOUBLE_EQ(cdf.probAtOrBelow(1.0), 0.5);
+}
+
+using Samples = std::vector<std::pair<double, double>>;
+
+/**
+ * @p n samples drawn from a few dozen distinct values with integer
+ * weights (1 or a cNode-like count, zeros included), so runs of equal
+ * values are long and carry mixed weights -- the shape of the
+ * characterizer's CDFs.
+ */
+Samples
+tieHeavySamples(uint64_t seed, size_t n)
+{
+    Rng rng(seed);
+    Samples out;
+    out.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        double value =
+            static_cast<double>(rng.uniformInt(0, 40)) / 40.0;
+        double weight = rng.bernoulli(0.5)
+                            ? 1.0
+                            : static_cast<double>(rng.uniformInt(0, 64));
+        out.emplace_back(value, weight);
+    }
+    return out;
+}
+
+WeightedCdf
+addOneByOne(const Samples &samples)
+{
+    WeightedCdf cdf;
+    for (const auto &[v, w] : samples)
+        cdf.add(v, w);
+    return cdf;
+}
+
+/** Every query agrees bit for bit (mean excluded: see callers). */
+void
+expectIdenticalQueries(const WeightedCdf &a, const WeightedCdf &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.totalWeight(), b.totalWeight());
+    EXPECT_EQ(a.min(), b.min());
+    EXPECT_EQ(a.max(), b.max());
+    for (int k = 0; k <= 1000; ++k) {
+        double q = k / 1000.0;
+        EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q " << q;
+    }
+    for (int k = -2; k <= 42; ++k) {
+        double x = k / 40.0;
+        EXPECT_EQ(a.probAtOrBelow(x), b.probAtOrBelow(x)) << "x " << x;
+        EXPECT_EQ(a.probAtOrBelow(x + 0.01), b.probAtOrBelow(x + 0.01))
+            << "x " << x + 0.01;
+    }
+    EXPECT_EQ(a.curve(64), b.curve(64));
+}
+
+TEST(WeightedCdfBulkTest, MatchesAddOnTieHeavyIntegerWeights)
+{
+    // Sizes below, at and above one parallelSort run.
+    for (size_t n : {size_t{1}, size_t{1000}, runtime::kSortRun,
+                     3 * runtime::kSortRun + 7}) {
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " seed " +
+                         std::to_string(seed));
+            Samples samples = tieHeavySamples(seed, n);
+            WeightedCdf added = addOneByOne(samples);
+            WeightedCdf bulk(samples);
+            // Same insertion order, so the same mean before and
+            // after the lazy sort.
+            EXPECT_EQ(added.mean(), bulk.mean());
+            expectIdenticalQueries(added, bulk);
+            EXPECT_EQ(added.mean(), bulk.mean());
+        }
+    }
+}
+
+TEST(WeightedCdfBulkTest, TieOrderCannotChangeAnyQuery)
+{
+    // With integer weights the cumulative weight at the end of every
+    // run of equal values is exact, so any order of the input --
+    // and so any order the sort leaves equal values in -- answers
+    // every query identically.
+    Samples samples = tieHeavySamples(7, 3 * runtime::kSortRun + 7);
+    Samples reversed(samples.rbegin(), samples.rend());
+    Samples rotated = samples;
+    std::rotate(rotated.begin(), rotated.begin() + 12345,
+                rotated.end());
+    WeightedCdf ref(samples);
+    expectIdenticalQueries(ref, WeightedCdf(reversed));
+    expectIdenticalQueries(ref, WeightedCdf(rotated));
+}
+
+TEST(WeightedCdfBulkTest, EmptyBulkCdfBehavesLikeDefault)
+{
+    WeightedCdf cdf{Samples{}};
+    EXPECT_TRUE(cdf.empty());
+    EXPECT_EQ(cdf.totalWeight(), 0.0);
+    EXPECT_THROW(cdf.quantile(0.5), std::logic_error);
+}
+
+TEST(WeightedCdfBulkTest, RejectsWhatAddRejectsWithTheSameMessage)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const auto &[value, weight] :
+         Samples{{nan, 1.0}, {inf, 1.0}, {-inf, 1.0}, {1.0, -1.0},
+                 {1.0, nan}, {1.0, inf}}) {
+        std::string add_msg, bulk_msg;
+        try {
+            WeightedCdf cdf;
+            cdf.add(value, weight);
+        } catch (const std::invalid_argument &e) {
+            add_msg = e.what();
+        }
+        try {
+            // The bad sample sits after good ones.
+            WeightedCdf cdf(Samples{{0.5, 1.0}, {2.0, 3.0}, {value, weight}});
+        } catch (const std::invalid_argument &e) {
+            bulk_msg = e.what();
+        }
+        EXPECT_FALSE(add_msg.empty()) << value << " " << weight;
+        EXPECT_EQ(add_msg, bulk_msg) << value << " " << weight;
+    }
 }
 
 /** Property: CDF is monotone and quantile is a left inverse. */

@@ -163,6 +163,23 @@ TEST(JobStoreTest, ViewKeepsBackingAlive)
     EXPECT_TRUE(watch.expired());
 }
 
+TEST(JobStoreTest, ColumnAccessorsMatchJobInBothModes)
+{
+    // Misaligned columns, as in ColumnarViewDecodesMisalignedColumns.
+    auto jobs = samplePopulation(13);
+    JobColumns cols;
+    auto blob = packColumns(jobs, &cols);
+    for (const JobStore &store :
+         {JobStore(jobs),
+          JobStore::fromColumns(jobs.size(), cols, blob)}) {
+        for (size_t i = 0; i < jobs.size(); ++i) {
+            EXPECT_EQ(store.arch(i), jobs[i].arch) << "job " << i;
+            EXPECT_EQ(store.numCnodes(i), jobs[i].num_cnodes)
+                << "job " << i;
+        }
+    }
+}
+
 TEST(JobStoreTest, IteratorVisitsEveryJobInOrder)
 {
     auto jobs = samplePopulation(7);
