@@ -4,12 +4,15 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -45,13 +48,75 @@ namespace {
 using workload::ArchType;
 using workload::TrainingJob;
 
-/** A malformed flag value; caught in run() and reported on err. */
-struct UsageError : std::runtime_error
+/** How a flag's value is read and checked. */
+enum class Kind
 {
-    using std::runtime_error::runtime_error;
+    Int,    ///< a whole number in [lo, hi], written any way strtod reads
+    Number, ///< a finite number in [lo, hi]
+    Choice, ///< one of `choices`
+    Text,   ///< any non-empty string: a path, a name, a list
+    /** Bare `--flag` or `--flag=VALUE`; never takes the next argument. */
+    OptionalValue,
 };
 
-/** Parsed --flag value pairs plus positional arguments. */
+/** One row of a command's flag table. */
+struct Flag
+{
+    std::string name;
+    Kind kind;
+    double lo = 0.0, hi = 0.0;
+    std::vector<std::string> choices;
+    /** Value when the flag is absent; empty when the handler computes it. */
+    std::string def;
+    std::string metavar;
+    std::string help;
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/** The smallest double above 0: a [kPositive, hi] range is (0, hi]. */
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxInt = std::numeric_limits<int>::max();
+/** Bound for int64 counts, exactly representable as a double. */
+constexpr double kMaxInt64 = 0x1p62;
+/** The largest double below 2^64, so a uint64 cast stays defined. */
+constexpr double kMaxUint64 = 0x1.fffffffffffffp63;
+
+Flag
+integer(std::string name, double lo, double hi, std::string def,
+        std::string help)
+{
+    return {std::move(name), Kind::Int, lo, hi, {}, std::move(def),
+            "N", std::move(help)};
+}
+
+Flag
+number(std::string name, double lo, double hi, std::string def,
+       std::string help)
+{
+    return {std::move(name), Kind::Number, lo, hi, {}, std::move(def),
+            "X", std::move(help)};
+}
+
+Flag
+choice(std::string name, std::vector<std::string> choices,
+       std::string def, std::string help)
+{
+    return {std::move(name), Kind::Choice, 0, 0, std::move(choices),
+            std::move(def), "", std::move(help)};
+}
+
+Flag
+text(std::string name, std::string metavar, std::string def,
+     std::string help)
+{
+    return {std::move(name), Kind::Text, 0, 0, {}, std::move(def),
+            std::move(metavar), std::move(help)};
+}
+
+/**
+ * A command's validated argv: positionals after the command words,
+ * and every flag given plus the table default of each flag not given.
+ */
 struct Args
 {
     std::vector<std::string> positional;
@@ -66,250 +131,41 @@ struct Args
         return it->second;
     }
 
+    /** An Int or Number flag with a default, or given. */
     double
-    numFlag(const std::string &name, double fallback) const
+    num(const std::string &name) const
     {
-        auto v = flag(name);
-        if (!v)
-            return fallback;
-        const char *s = v->c_str();
-        char *end = nullptr;
-        double parsed = std::strtod(s, &end);
-        while (end && *end != '\0' &&
-               std::isspace(static_cast<unsigned char>(*end)))
-            ++end;
-        if (end == s || *end != '\0') {
-            throw UsageError("error: flag --" + name +
-                             " expects a number, got '" + *v + "'");
-        }
-        return parsed;
+        return std::strtod(flags.at(name).c_str(), nullptr);
     }
 
-    /**
-     * A flag restricted to an enumerated value set. Unknown values
-     * are a UsageError listing every valid spelling, so typos fail
-     * loudly instead of silently falling back.
-     */
-    std::string
-    choiceFlag(const std::string &name, const std::string &fallback,
-               const std::vector<std::string> &valid) const
+    /** An Int or Number flag whose default the handler computes. */
+    double
+    num(const std::string &name, double fallback) const
     {
-        auto v = flag(name);
-        std::string value = v ? *v : fallback;
-        if (std::find(valid.begin(), valid.end(), value) ==
-            valid.end()) {
-            std::string list;
-            for (const std::string &s : valid) {
-                if (!list.empty())
-                    list += ", ";
-                list += s;
-            }
-            throw UsageError("error: flag --" + name +
-                             " expects one of " + list + ", got '" +
-                             value + "'");
-        }
-        return value;
+        return flags.count(name) ? num(name) : fallback;
     }
 };
 
-/** Flags that may appear bare, without a value. */
-bool
-isValuelessFlag(const std::string &name)
+/** One subcommand: its words, arguments, handler, help and flags. */
+struct Command
 {
-    // Bare --metrics sends the summary to stderr; --metrics=FILE
-    // redirects it.
-    return name == "metrics";
-}
+    std::string name;        ///< "schedule", or "obs timeline diff"
+    std::string positionals; ///< one metavar per argument
+    std::string expects;     ///< the arguments in prose, for errors
+    int (*handler)(const Args &, std::ostream &, std::ostream &);
+    std::string help; ///< a summary line, then details
+    std::vector<Flag> flags;
+};
 
 /**
- * Split args into flags and positionals. Flags take their value
- * either as the next argument (--name value) or inline
- * (--name=value); valueless flags record an empty value.
- */
-std::optional<Args>
-parseArgs(const std::vector<std::string> &raw, std::ostream &err)
-{
-    Args a;
-    for (size_t i = 0; i < raw.size(); ++i) {
-        if (raw[i].rfind("--", 0) == 0) {
-            std::string body = raw[i].substr(2);
-            auto eq = body.find('=');
-            if (eq != std::string::npos) {
-                a.flags[body.substr(0, eq)] = body.substr(eq + 1);
-            } else if (isValuelessFlag(body)) {
-                a.flags.emplace(body, "");
-            } else if (i + 1 >= raw.size()) {
-                err << "error: flag " << raw[i]
-                    << " expects a value\n";
-                return std::nullopt;
-            } else {
-                a.flags[body] = raw[i + 1];
-                ++i;
-            }
-        } else {
-            a.positional.push_back(raw[i]);
-        }
-    }
-    return a;
-}
-
-void
-printUsage(std::ostream &out)
-{
-    out << "paichar -- Alibaba-PAI training-workload characterization "
-           "(IISWC'19 reproduction)\n"
-           "\n"
-           "usage:\n"
-           "  paichar generate --jobs N [--seed S] [--out FILE]\n"
-           "                   [--trace-format csv|bin]\n"
-           "  paichar convert IN OUT [--trace-format csv|bin]\n"
-           "  paichar characterize TRACE\n"
-           "  paichar project TRACE [--target ARCH]\n"
-           "  paichar sweep TRACE [--arch ARCH]\n"
-           "  paichar advise --flops F --mem M --input I --comm C\n"
-           "                 [--dense-weights D] "
-           "[--embedding-weights E]\n"
-           "                 [--cnodes N] [--gpu-mem BYTES]\n"
-           "  paichar diagnose MODEL\n"
-           "  paichar plan MODEL [--search exhaustive|beam] "
-           "[--top K] [--beam W]\n"
-           "               [--passes LIST] [--gpu-mem BYTES] "
-           "[--format table|json]\n"
-           "  paichar serve MODEL [--qps Q] [--max-batch B] "
-           "[--slo-ms MS]\n"
-           "                [--servers N] [--routing round-robin|"
-           "least-queue|p2c]\n"
-           "                [--batching greedy|continuous]\n"
-           "                [--arrival constant|diurnal|bursty]\n"
-           "                [--admit DEPTH] [--autoscale "
-           "0|1|queue|slo] [--requests N]\n"
-           "  paichar capacity MODEL --qps Q [--slo-ms MS] "
-           "[--max-servers N]\n"
-           "                   [--max-batch B] [--routing R] "
-           "[--batching B] [--arrival K]\n"
-           "  paichar schedule TRACE [--servers N] "
-           "[--nvlink-frac F] [--port 0|1] [--rate R]\n"
-           "                   [--policy fifo|backfill|spf|"
-           "spf-preempt|gang]\n"
-           "                   [--predictor model|quantile|linear|"
-           "none] [--history JOBLOG]\n"
-           "                   [--quantile Q] [--placement "
-           "first-fit|best-fit]\n"
-           "                   [--hetero F] [--compare-fifo 0|1]\n"
-           "  paichar obs report RUN\n"
-           "  paichar obs diff A B [--tolerance PCT]\n"
-           "  paichar obs top JOBLOG [--limit N]\n"
-           "  paichar obs timeline TIMELINE [--plot SERIES]\n"
-           "  paichar obs timeline diff A B [--tolerance PCT]\n"
-           "\n"
-           "Quantities are base units (FLOPs, bytes); ARCH uses the "
-           "paper names\n(\"PS/Worker\", \"AllReduce-Local\", "
-           "\"AllReduce-Cluster\", \"PEARL\", ...).\n"
-           "\n"
-           "plan searches the optimization space (mixed precision, "
-           "XLA fusion,\narchitecture, sub-graph / channel "
-           "partitioning, micro-batching):\nevery feasible candidate "
-           "is priced analytically, the best --top K are\nmeasured "
-           "on the testbed. --passes restricts the dimensions "
-           "(comma list\nof mixed-precision, xla-fusion, "
-           "subgraph-partition, channel-split,\nmicro-batch, "
-           "arch).\n"
-           "\n"
-           "schedule replays TRACE through a finite cluster under a "
-           "queueing policy.\nPrediction-driven policies (spf, "
-           "spf-preempt, gang, and backfill's EASY\nreservations) "
-           "order the queue by predicted run time: the analytical\n"
-           "model's own (--predictor model) or a predictor fit on a "
-           "recorded job\nlog (--predictor quantile|linear --history "
-           "LOG). --hetero F populates a\nfraction of servers with "
-           "older, slower GPU generations; --compare-fifo 1\nre-runs "
-           "the identical submissions under FIFO and prints the "
-           "deltas.\n"
-           "\n"
-           "serve simulates an inference fleet (open-loop arrivals, "
-           "pluggable\nrouting, greedy or continuous batching, "
-           "optional admission control and\na reactive autoscaler); "
-           "capacity bisects the smallest fleet that holds\na p99 "
-           "SLO at the offered load. Both are byte-identical for "
-           "every\n--threads setting. --autoscale slo "
-           "scales on the trailing\nwindow's p99 latency against "
-           "--slo-ms instead of queue depth.\n"
-           "\n"
-           "TRACE files may be CSV or paib binary; the format is "
-           "auto-detected.\ngenerate and convert infer the output "
-           "format from the --out extension\n(.paib/.bin = binary) "
-           "unless --trace-format is given.\n"
-           "\n"
-           "Every command accepts --threads N (default: "
-           "$PAICHAR_THREADS, else all\nhardware threads; 1 = serial). "
-           "Outputs are identical for every N.\n"
-           "\n"
-           "Observability (never touches stdout):\n"
-           "  --metrics[=FILE]  write the metric summary to FILE "
-           "(default: stderr)\n"
-           "  --metrics-format text|openmetrics\n"
-           "                    metric summary format (default: "
-           "text)\n"
-           "  --profile FILE    write Chrome trace-event JSON of the "
-           "run to FILE\n                    (load in Perfetto or "
-           "chrome://tracing)\n"
-           "  --job-log FILE    write one schema-v1 JSONL record per "
-           "simulated job\n                    (schedule, diagnose; "
-           "feed to paichar obs)\n"
-           "  --job-trace FILE  write a per-worker Chrome trace of "
-           "the job timeline\n"
-           "  --timeline FILE   write sim-time series probes "
-           "(queue depth, fleet size,\n                    arrival/"
-           "preemption rates, windowed latency p50/p99)\n"
-           "                    sampled every --timeline-interval "
-           "simulated seconds\n                    (default 10; "
-           "format csv, or json by --timeline-format /\n"
-           "                    a .json extension)\n"
-           "\n"
-           "obs RUN files are --job-log JSONL or --metrics dumps; "
-           "obs diff exits 2\nwhen a shared scalar moves past "
-           "--tolerance (default 10%). obs timeline\nreads "
-           "--timeline CSV: per-series stats plus a sparkline, "
-           "--plot SERIES\ndraws one series full-size, and obs "
-           "timeline diff gates per-series\nmean/max/last scalars "
-           "like obs diff.\n"
-           "\n"
-           "Flags may be written --flag VALUE or --flag=VALUE.\n";
-}
-
-std::optional<std::vector<TrainingJob>>
-loadTrace(const Args &args, std::ostream &err)
-{
-    if (args.positional.size() < 2) {
-        err << "error: expected a trace file\n";
-        return std::nullopt;
-    }
-    // Format (CSV or paib binary) is auto-detected by magic; CSV
-    // bodies parse in parallel on the global pool.
-    auto r = trace::readTraceFile(args.positional[1],
-                                  runtime::globalPool());
-    if (!r.ok) {
-        err << "error: " << r.error << "\n";
-        return std::nullopt;
-    }
-    return std::move(r.jobs);
-}
-
-/**
- * Like loadTrace, but keeps `paib` traces in their mmap'd columnar
- * form: jobs decode on access instead of being materialized up
- * front. Rejects exactly the inputs loadTrace rejects, with the
- * same error text.
+ * Load a trace, CSV or `paib` binary (auto-detected by magic). `paib`
+ * traces stay in their mmap'd columnar form: jobs decode on access.
+ * CSV bodies parse in parallel on the global pool.
  */
 std::optional<workload::JobStore>
-loadTraceStore(const Args &args, std::ostream &err)
+loadTraceStore(const std::string &path, std::ostream &err)
 {
-    if (args.positional.size() < 2) {
-        err << "error: expected a trace file\n";
-        return std::nullopt;
-    }
-    auto r = trace::readTraceStore(args.positional[1],
-                                   runtime::globalPool());
+    auto r = trace::readTraceStore(path, runtime::globalPool());
     if (!r.ok) {
         err << "error: " << r.error << "\n";
         return std::nullopt;
@@ -318,115 +174,70 @@ loadTraceStore(const Args &args, std::ostream &err)
 }
 
 /**
- * The --trace-format flag ("csv" | "bin"). @p fallback covers the
- * unset case: cmdGenerate defaults to CSV, cmdConvert infers from
- * the output file extension.
+ * --trace-format if given, else what the extension of @p path names
+ * (.paib/.bin = binary), else CSV.
  */
-std::optional<trace::TraceFormat>
-traceFormatFlag(const Args &args, trace::TraceFormat fallback,
-                std::ostream &err)
-{
-    auto v = args.flag("trace-format");
-    if (!v)
-        return fallback;
-    auto f = trace::traceFormatFromString(*v);
-    if (!f) {
-        err << "error: --trace-format expects csv or bin, got '"
-            << *v << "'\n";
-        return std::nullopt;
-    }
-    return f;
-}
-
-/** bin for .paib/.bin output paths, csv otherwise. */
 trace::TraceFormat
-formatFromExtension(const std::string &path)
+outputFormat(const Args &args, const std::optional<std::string> &path)
 {
-    auto dot = path.rfind('.');
-    std::string ext = dot == std::string::npos ? ""
-                                               : path.substr(dot);
-    return (ext == ".paib" || ext == ".bin")
-               ? trace::TraceFormat::Binary
-               : trace::TraceFormat::Csv;
+    if (auto v = args.flag("trace-format"))
+        return *trace::traceFormatFromString(*v);
+    auto dot = path ? path->rfind('.') : std::string::npos;
+    std::string ext = dot == std::string::npos ? "" : path->substr(dot);
+    return (ext == ".paib" || ext == ".bin") ? trace::TraceFormat::Binary
+                                             : trace::TraceFormat::Csv;
 }
 
 int
 cmdGenerate(const Args &args, std::ostream &out, std::ostream &err)
 {
-    // Checked before the cast: a negative count would wrap to a
-    // vector length the generator cannot allocate.
-    double jobs_flag = args.numFlag("jobs", 20000);
-    if (!(jobs_flag >= 1) || jobs_flag != std::floor(jobs_flag) ||
-        jobs_flag >
-            static_cast<double>(std::vector<TrainingJob>().max_size())) {
-        err << "error: --jobs expects a positive integer\n";
-        return 1;
-    }
-    auto jobs_n = static_cast<size_t>(jobs_flag);
-    auto seed = static_cast<uint64_t>(args.numFlag("seed", 20181201));
+    auto jobs_n = static_cast<size_t>(args.num("jobs"));
+    auto seed = static_cast<uint64_t>(args.num("seed"));
     auto out_file = args.flag("out");
-    // Like convert: the --out extension picks the format (.paib/.bin
-    // = binary), --trace-format overrides.
-    auto format = traceFormatFlag(
-        args,
-        out_file ? formatFromExtension(*out_file)
-                 : trace::TraceFormat::Csv,
-        err);
-    if (!format)
-        return 1;
-    trace::SyntheticClusterGenerator gen(seed);
-    auto jobs = gen.generate(jobs_n, runtime::globalPool());
-    if (out_file) {
-        if (!trace::writeTraceFile(*out_file, jobs, *format)) {
-            err << "error: cannot write '" << *out_file << "'\n";
-            return 1;
-        }
-        out << "wrote " << jobs.size() << " jobs (seed " << seed
-            << ", " << trace::toString(*format) << ") to "
-            << *out_file << "\n";
-    } else if (*format == trace::TraceFormat::Binary) {
+    auto format = outputFormat(args, out_file);
+    if (!out_file && format == trace::TraceFormat::Binary) {
         err << "error: --trace-format bin requires --out FILE\n";
         return 1;
-    } else {
-        out << trace::toCsv(jobs);
     }
+    trace::SyntheticClusterGenerator gen(seed);
+    auto jobs = gen.generate(jobs_n, runtime::globalPool());
+    if (!out_file) {
+        out << trace::toCsv(jobs);
+        return 0;
+    }
+    if (!trace::writeTraceFile(*out_file, jobs, format)) {
+        err << "error: cannot write '" << *out_file << "'\n";
+        return 1;
+    }
+    out << "wrote " << jobs.size() << " jobs (seed " << seed << ", "
+        << trace::toString(format) << ") to " << *out_file << "\n";
     return 0;
 }
 
 int
 cmdConvert(const Args &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() < 3) {
-        err << "error: convert expects an input and an output trace "
-               "file\n";
+    const std::string &in_path = args.positional[0];
+    const std::string &out_path = args.positional[1];
+    auto format = outputFormat(args, out_path);
+    auto store = loadTraceStore(in_path, err);
+    if (!store)
         return 1;
-    }
-    const std::string &in_path = args.positional[1];
-    const std::string &out_path = args.positional[2];
-    auto format =
-        traceFormatFlag(args, formatFromExtension(out_path), err);
-    if (!format)
-        return 1;
-
-    auto r = trace::readTraceFile(in_path, runtime::globalPool());
-    if (!r.ok) {
-        err << "error: " << r.error << "\n";
-        return 1;
-    }
-    if (!trace::writeTraceFile(out_path, r.jobs, *format)) {
+    auto jobs = store->materialize();
+    if (!trace::writeTraceFile(out_path, jobs, format)) {
         err << "error: cannot write '" << out_path << "'\n";
         return 1;
     }
-    out << "converted " << r.jobs.size() << " jobs: " << in_path
-        << " -> " << out_path << " ("
-        << trace::toString(*format) << ")\n";
+    out << "converted " << jobs.size() << " jobs: " << in_path
+        << " -> " << out_path << " (" << trace::toString(format)
+        << ")\n";
     return 0;
 }
 
 int
 cmdCharacterize(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto jobs = loadTraceStore(args, err);
+    auto jobs = loadTraceStore(args.positional[0], err);
     if (!jobs)
         return 1;
     core::AnalyticalModel model(hw::paiCluster());
@@ -459,11 +270,10 @@ cmdCharacterize(const Args &args, std::ostream &out, std::ostream &err)
 int
 cmdProject(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto jobs = loadTrace(args, err);
+    auto jobs = loadTraceStore(args.positional[0], err);
     if (!jobs)
         return 1;
-    std::string target_name =
-        args.flag("target").value_or("AllReduce-Local");
+    std::string target_name = *args.flag("target");
     auto target = workload::archFromString(target_name);
     if (!target) {
         err << "error: unknown architecture '" << target_name << "'\n";
@@ -498,10 +308,10 @@ cmdProject(const Args &args, std::ostream &out, std::ostream &err)
 int
 cmdSweep(const Args &args, std::ostream &out, std::ostream &err)
 {
-    auto jobs = loadTrace(args, err);
+    auto jobs = loadTraceStore(args.positional[0], err);
     if (!jobs)
         return 1;
-    std::string arch_name = args.flag("arch").value_or("PS/Worker");
+    std::string arch_name = *args.flag("arch");
     auto arch = workload::archFromString(arch_name);
     if (!arch) {
         err << "error: unknown architecture '" << arch_name << "'\n";
@@ -537,16 +347,15 @@ cmdAdvise(const Args &args, std::ostream &out, std::ostream &err)
 {
     TrainingJob job;
     job.arch = ArchType::PsWorker;
-    job.num_cnodes = static_cast<int>(args.numFlag("cnodes", 8));
-    job.features.batch_size = args.numFlag("batch", 256);
-    job.features.flop_count = args.numFlag("flops", -1);
-    job.features.mem_access_bytes = args.numFlag("mem", -1);
-    job.features.input_bytes = args.numFlag("input", -1);
-    job.features.comm_bytes = args.numFlag("comm", -1);
+    job.num_cnodes = static_cast<int>(args.num("cnodes"));
+    job.features.batch_size = args.num("batch");
+    job.features.flop_count = args.num("flops", -1);
+    job.features.mem_access_bytes = args.num("mem", -1);
+    job.features.input_bytes = args.num("input", -1);
+    job.features.comm_bytes = args.num("comm", -1);
     job.features.dense_weight_bytes =
-        args.numFlag("dense-weights", job.features.comm_bytes);
-    job.features.embedding_weight_bytes =
-        args.numFlag("embedding-weights", 0.0);
+        args.num("dense-weights", job.features.comm_bytes);
+    job.features.embedding_weight_bytes = args.num("embedding-weights");
     if (job.features.embedding_weight_bytes > 0.0) {
         // Traffic split mirrors the weight split by default.
         job.features.embedding_comm_bytes =
@@ -562,9 +371,8 @@ cmdAdvise(const Args &args, std::ostream &out, std::ostream &err)
         return 1;
     }
 
-    double gpu_mem = args.numFlag("gpu-mem", 32e9);
     core::AnalyticalModel model(hw::v100Testbed());
-    core::ArchitectureAdvisor advisor(model, gpu_mem);
+    core::ArchitectureAdvisor advisor(model, args.num("gpu-mem"));
     stats::Table t({"architecture", "cNodes", "per-GPU weights",
                     "step time", "throughput", "feasible"});
     for (const auto &opt : advisor.evaluate(job)) {
@@ -606,11 +414,7 @@ findModel(const std::string &name, std::ostream &err)
 int
 cmdDiagnose(const Args &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() < 2) {
-        err << "error: diagnose expects a model name\n";
-        return 1;
-    }
-    auto model = findModel(args.positional[1], err);
+    auto model = findModel(args.positional[0], err);
     if (!model)
         return 1;
 
@@ -689,42 +493,17 @@ appendPlanJson(std::string &j, const opt::Plan &p)
 int
 cmdPlan(const Args &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() < 2) {
-        err << "error: plan expects a model name\n";
-        return 1;
-    }
-    auto model = findModel(args.positional[1], err);
+    auto model = findModel(args.positional[0], err);
     if (!model)
         return 1;
 
     opt::PlannerConfig cfg;
-    std::string search =
-        args.flag("search").value_or("exhaustive");
-    if (search == "beam") {
+    std::string search = *args.flag("search");
+    if (search == "beam")
         cfg.search = opt::SearchMode::Beam;
-    } else if (search != "exhaustive") {
-        err << "error: --search expects exhaustive or beam, got '"
-            << search << "'\n";
-        return 1;
-    }
-    double top = args.numFlag("top", cfg.top_k);
-    if (top < 0 || top != std::floor(top)) {
-        err << "error: --top expects a non-negative integer\n";
-        return 1;
-    }
-    cfg.top_k = static_cast<int>(top);
-    double beam = args.numFlag("beam", cfg.beam_width);
-    if (beam < 1 || beam != std::floor(beam)) {
-        err << "error: --beam expects a positive integer\n";
-        return 1;
-    }
-    cfg.beam_width = static_cast<int>(beam);
-    cfg.gpu_memory_bytes =
-        args.numFlag("gpu-mem", cfg.gpu_memory_bytes);
-    if (cfg.gpu_memory_bytes <= 0.0) {
-        err << "error: --gpu-mem expects a positive byte count\n";
-        return 1;
-    }
+    cfg.top_k = static_cast<int>(args.num("top"));
+    cfg.beam_width = static_cast<int>(args.num("beam"));
+    cfg.gpu_memory_bytes = args.num("gpu-mem");
     if (auto passes = args.flag("passes")) {
         cfg.enable_mixed_precision = false;
         cfg.enable_xla_fusion = false;
@@ -744,12 +523,6 @@ cmdPlan(const Args &args, std::ostream &out, std::ostream &err)
             }
         }
     }
-    std::string format = args.flag("format").value_or("table");
-    if (format != "table" && format != "json") {
-        err << "error: --format expects table or json, got '"
-            << format << "'\n";
-        return 1;
-    }
 
     opt::OptimizationPlanner planner(cfg);
     auto plans = planner.evaluate(*model);
@@ -761,7 +534,7 @@ cmdPlan(const Args &args, std::ostream &out, std::ostream &err)
             ? plans[1]
             : plans[0];
 
-    if (format == "json") {
+    if (*args.flag("format") == "json") {
         std::string j = "{\"model\":\"";
         obs::appendJsonEscaped(j, model->name);
         j += "\",\"search\":\"";
@@ -834,65 +607,46 @@ struct FleetArgs
     double solo = 0.0;
 };
 
-/**
- * Parse the fleet flags (--servers, --routing, --batching,
- * --arrival, --admit, --autoscale, --max-batch, --qps, --slo-ms,
- * --requests) for @p w. Throws UsageError on malformed values.
- */
+/** The fleet flags for @p w, with the qps/slo defaults it implies. */
 FleetArgs
 parseFleetArgs(const Args &args, const inference::InferenceWorkload &w)
 {
     FleetArgs f;
-    f.cfg.num_servers = static_cast<int>(args.numFlag("servers", 1));
-    f.cfg.max_batch = static_cast<int>(args.numFlag("max-batch", 8));
-    f.cfg.routing = *inference::routingFromString(args.choiceFlag(
-        "routing", "round-robin",
-        {"round-robin", "least-queue", "p2c"}));
-    f.cfg.batching = *inference::batchingFromString(
-        args.choiceFlag("batching", "greedy",
-                        {"greedy", "continuous"}));
-    f.cfg.admit_queue = static_cast<int>(args.numFlag("admit", 0));
+    f.cfg.num_servers = static_cast<int>(args.num("servers"));
+    f.cfg.max_batch = static_cast<int>(args.num("max-batch"));
+    f.cfg.routing = *inference::routingFromString(*args.flag("routing"));
+    f.cfg.batching =
+        *inference::batchingFromString(*args.flag("batching"));
+    f.cfg.admit_queue = static_cast<int>(args.num("admit"));
     // "1" and "queue" are the original depth-driven controller;
     // "slo" reacts to the trailing-window p99 instead (the latency
     // target is fixed up below, once --slo-ms is known).
-    std::string autoscale = args.choiceFlag(
-        "autoscale", "0", {"0", "1", "queue", "slo"});
+    std::string autoscale = *args.flag("autoscale");
     if (autoscale != "0") {
         f.cfg.autoscaler.enabled = true;
         f.cfg.autoscaler.max_servers = std::max(
-            f.cfg.num_servers,
-            static_cast<int>(args.numFlag("max-servers", 64)));
+            f.cfg.num_servers, static_cast<int>(args.num("max-servers")));
         if (autoscale == "slo") {
             f.cfg.autoscaler.mode =
                 inference::AutoscalerConfig::Mode::SloLatency;
         }
     }
-    f.arrival.kind = *stats::arrivalKindFromString(args.choiceFlag(
-        "arrival", "constant", {"constant", "diurnal", "bursty"}));
+    f.arrival.kind = *stats::arrivalKindFromString(*args.flag("arrival"));
 
     f.solo = w.serviceTime(1, f.cfg.server.gpu,
                            f.cfg.launch_overhead) +
              w.inputTime(1, f.cfg.server.pcie_bandwidth);
-    f.arrival.qps =
-        args.numFlag("qps", 0.5 * f.cfg.num_servers / f.solo);
-    f.slo = args.numFlag("slo-ms", 5.0 * f.solo * 1e3) * 1e-3;
-    if (!(f.slo > 0.0) || !std::isfinite(f.slo))
-        throw UsageError("error: flag --slo-ms expects a positive, "
-                         "finite number");
+    f.arrival.qps = args.num("qps", 0.5 * f.cfg.num_servers / f.solo);
+    f.slo = args.num("slo-ms", 5.0 * f.solo * 1e3) * 1e-3;
     f.cfg.autoscaler.slo_latency = f.slo;
-    f.requests =
-        static_cast<int64_t>(args.numFlag("requests", 20000));
+    f.requests = static_cast<int64_t>(args.num("requests"));
     return f;
 }
 
 int
 cmdServe(const Args &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() < 2) {
-        err << "error: serve expects a model name\n";
-        return 1;
-    }
-    auto model = findModel(args.positional[1], err);
+    auto model = findModel(args.positional[0], err);
     if (!model)
         return 1;
     auto w = inference::InferenceWorkload::fromTraining(*model);
@@ -957,17 +711,12 @@ cmdServe(const Args &args, std::ostream &out, std::ostream &err)
 int
 cmdCapacity(const Args &args, std::ostream &out, std::ostream &err)
 {
-    if (args.positional.size() < 2) {
-        err << "error: capacity expects a model name\n";
-        return 1;
-    }
-    auto model = findModel(args.positional[1], err);
+    auto model = findModel(args.positional[0], err);
     if (!model)
         return 1;
     auto w = inference::InferenceWorkload::fromTraining(*model);
     FleetArgs f = parseFleetArgs(args, w);
-    int max_servers =
-        static_cast<int>(args.numFlag("max-servers", 64));
+    int max_servers = static_cast<int>(args.num("max-servers"));
 
     out << "capacity: " << w.name << " @ "
         << stats::fmt(f.arrival.qps, 0) << " qps ("
@@ -1001,35 +750,40 @@ cmdCapacity(const Args &args, std::ostream &out, std::ostream &err)
 std::optional<std::string> readTextFile(const std::string &path,
                                         std::ostream &err);
 
+/** A --job-log or --metrics file, or nullopt + err report. */
+std::optional<obs::RunData>
+loadRun(const std::string &path, std::ostream &err)
+{
+    auto text = readTextFile(path, err);
+    if (!text)
+        return std::nullopt;
+    auto r = obs::loadRunData(*text);
+    if (!r.ok) {
+        err << "error: " << path << ": " << r.error << "\n";
+        return std::nullopt;
+    }
+    return std::move(r.data);
+}
+
 int
 cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
 {
     clustersim::SchedulerConfig cfg;
-    cfg.num_servers =
-        static_cast<int>(args.numFlag("servers", 64));
-    cfg.nvlink_fraction = args.numFlag("nvlink-frac", 0.5);
-    cfg.port_ps_to_allreduce = args.numFlag("port", 0) != 0;
-    double rate = args.numFlag("rate", 150.0);
+    cfg.num_servers = static_cast<int>(args.num("servers"));
+    cfg.nvlink_fraction = args.num("nvlink-frac");
+    cfg.port_ps_to_allreduce = args.num("port") != 0;
+    double rate = args.num("rate");
 
-    std::string policy_name = args.choiceFlag(
-        "policy", "backfill", clustersim::policyNames());
+    std::string policy_name = *args.flag("policy");
     cfg.policy = *clustersim::policyFromString(policy_name);
-    std::string predictor_name = args.choiceFlag(
-        "predictor", "model", {"model", "quantile", "linear", "none"});
-    std::string placement_name = args.choiceFlag(
-        "placement", "first-fit", {"first-fit", "best-fit"});
+    std::string predictor_name = *args.flag("predictor");
+    std::string placement_name = *args.flag("placement");
     cfg.placement = placement_name == "best-fit"
                         ? clustersim::PlacementStrategy::BestFit
                         : clustersim::PlacementStrategy::FirstFit;
-    double quantile = args.numFlag("quantile", 0.5);
-    if (quantile < 0.0 || quantile > 1.0)
-        throw UsageError("error: flag --quantile expects a value "
-                         "in [0, 1]");
-    cfg.old_gen_fraction = args.numFlag("hetero", 0.0);
-    if (cfg.old_gen_fraction < 0.0 || cfg.old_gen_fraction > 1.0)
-        throw UsageError("error: flag --hetero expects a fraction "
-                         "in [0, 1]");
-    bool compare_fifo = args.numFlag("compare-fifo", 0) != 0;
+    double quantile = args.num("quantile");
+    cfg.old_gen_fraction = args.num("hetero");
+    bool compare_fifo = args.num("compare-fifo") != 0;
 
     // Prediction-driven policies have nothing to order the queue by
     // when predictions are turned off entirely.
@@ -1038,10 +792,10 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
                                  clustersim::Policy::SpfPreempt ||
                              cfg.policy == clustersim::Policy::Gang;
     if (predictor_name == "none" && prediction_driven) {
-        throw UsageError("error: --policy " + policy_name +
-                         " is prediction-driven and cannot run with "
-                         "--predictor none (use model, quantile or "
-                         "linear)");
+        throw std::invalid_argument(
+            "--policy " + policy_name +
+            " is prediction-driven and cannot run with --predictor none "
+            "(use model, quantile or linear)");
     }
 
     // History-trained predictors fit on a recorded --job-log stream.
@@ -1049,24 +803,20 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
     if (predictor_name == "quantile" || predictor_name == "linear") {
         auto path = args.flag("history");
         if (!path) {
-            throw UsageError("error: --predictor " + predictor_name +
-                             " requires --history JOBLOG (a recorded "
-                             "--job-log file to fit on)");
+            throw std::invalid_argument(
+                "--predictor " + predictor_name +
+                " requires --history JOBLOG (a recorded --job-log file "
+                "to fit on)");
         }
-        auto text = readTextFile(*path, err);
-        if (!text)
+        auto run = loadRun(*path, err);
+        if (!run)
             return 1;
-        auto r = obs::loadRunData(*text);
-        if (!r.ok) {
-            err << "error: " << *path << ": " << r.error << "\n";
-            return 1;
-        }
-        if (r.data.kind != obs::RunData::Kind::JobLog) {
+        if (run->kind != obs::RunData::Kind::JobLog) {
             err << "error: --history requires a job log "
                    "(--job-log output)\n";
             return 1;
         }
-        history = std::move(r.data.records);
+        history = std::move(run->records);
     }
     std::unique_ptr<predict::DurationModel> duration_model;
     if (predictor_name == "quantile") {
@@ -1101,7 +851,7 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
     clustersim::poissonRequests({}, rate, kStepsMedian, kStepsSigma,
                                 kStreamSeed);
 
-    auto store = loadTraceStore(args, err);
+    auto store = loadTraceStore(args.positional[0], err);
     if (!store)
         return 1;
     auto jobs = std::move(*store).materialize();
@@ -1165,195 +915,492 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
     return 0;
 }
 
-int
-cmdObs(const Args &args, std::ostream &out, std::ostream &err)
+/** A --timeline CSV file, or nullopt + err report. */
+std::optional<obs::TimelineData>
+loadTimeline(const std::string &path, std::ostream &err)
 {
-    if (args.positional.size() < 2) {
-        err << "error: obs expects a verb: report | diff | top | "
-               "timeline\n";
-        return 1;
+    auto text = readTextFile(path, err);
+    if (!text)
+        return std::nullopt;
+    auto d = obs::loadTimelineCsv(*text);
+    if (!d.ok) {
+        err << "error: " << path << ": " << d.error << "\n";
+        return std::nullopt;
     }
-    const std::string &verb = args.positional[1];
-
-    auto load =
-        [&](const std::string &path) -> std::optional<obs::RunData> {
-        auto text = readTextFile(path, err);
-        if (!text)
-            return std::nullopt;
-        auto r = obs::loadRunData(*text);
-        if (!r.ok) {
-            err << "error: " << path << ": " << r.error << "\n";
-            return std::nullopt;
-        }
-        return std::move(r.data);
-    };
-
-    if (verb == "report") {
-        if (args.positional.size() < 3) {
-            err << "error: obs report expects a run file\n";
-            return 1;
-        }
-        auto run = load(args.positional[2]);
-        if (!run)
-            return 1;
-        out << obs::reportText(*run);
-        return 0;
-    }
-    if (verb == "top") {
-        if (args.positional.size() < 3) {
-            err << "error: obs top expects a job-log file\n";
-            return 1;
-        }
-        auto run = load(args.positional[2]);
-        if (!run)
-            return 1;
-        if (run->kind != obs::RunData::Kind::JobLog) {
-            err << "error: obs top requires a job log "
-                   "(--job-log output)\n";
-            return 1;
-        }
-        double limit = args.numFlag("limit", 10);
-        if (limit < 1 || limit != std::floor(limit)) {
-            err << "error: --limit expects a positive integer\n";
-            return 1;
-        }
-        out << obs::topText(*run, static_cast<size_t>(limit));
-        return 0;
-    }
-    if (verb == "diff") {
-        if (args.positional.size() < 4) {
-            err << "error: obs diff expects two run files\n";
-            return 1;
-        }
-        auto a = load(args.positional[2]);
-        if (!a)
-            return 1;
-        auto b = load(args.positional[3]);
-        if (!b)
-            return 1;
-        double tolerance = args.numFlag("tolerance", 10.0);
-        if (tolerance < 0.0) {
-            err << "error: --tolerance expects a percentage >= 0\n";
-            return 1;
-        }
-        auto diff = obs::diffRuns(*a, *b, tolerance);
-        out << obs::renderDiff(diff);
-        // Exit 2 on regression so scripts can tell "worse than the
-        // baseline" from "could not run" (exit 1).
-        return diff.regression ? 2 : 0;
-    }
-    if (verb == "timeline") {
-        auto loadTl = [&](const std::string &path)
-            -> std::optional<obs::TimelineData> {
-            auto text = readTextFile(path, err);
-            if (!text)
-                return std::nullopt;
-            auto d = obs::loadTimelineCsv(*text);
-            if (!d.ok) {
-                err << "error: " << path << ": " << d.error << "\n";
-                return std::nullopt;
-            }
-            return std::move(d);
-        };
-
-        // `obs timeline diff A B` compares per-series scalars with
-        // the same regression semantics (and exit code 2) as
-        // `obs diff` -- the CI perf gate reuses it unchanged.
-        if (args.positional.size() >= 3 &&
-            args.positional[2] == "diff") {
-            if (args.positional.size() < 5) {
-                err << "error: obs timeline diff expects two "
-                       "timeline CSV files\n";
-                return 1;
-            }
-            auto a = loadTl(args.positional[3]);
-            if (!a)
-                return 1;
-            auto b = loadTl(args.positional[4]);
-            if (!b)
-                return 1;
-            double tolerance = args.numFlag("tolerance", 10.0);
-            if (tolerance < 0.0) {
-                err << "error: --tolerance expects a percentage >= "
-                       "0\n";
-                return 1;
-            }
-            auto diff =
-                obs::diffRuns(obs::timelineScalars(*a),
-                              obs::timelineScalars(*b), tolerance);
-            out << obs::renderDiff(diff);
-            return diff.regression ? 2 : 0;
-        }
-
-        if (args.positional.size() < 3) {
-            err << "error: obs timeline expects a timeline CSV "
-                   "file\n";
-            return 1;
-        }
-        auto data = loadTl(args.positional[2]);
-        if (!data)
-            return 1;
-        out << obs::renderTimelineReport(*data);
-        if (auto plot = args.flag("plot")) {
-            auto it = data->series.find(*plot);
-            if (it == data->series.end()) {
-                err << "error: no series '" << *plot
-                    << "' in the timeline (see the report above "
-                       "for series names)\n";
-                return 1;
-            }
-            out << "\n" << *plot << ":\n"
-                << stats::renderSeriesPlot(it->second, 64, 16,
-                                           "window end, seconds");
-        }
-        return 0;
-    }
-    err << "error: unknown obs verb '" << verb
-        << "' (report | diff | top | timeline)\n";
-    return 1;
+    return d;
 }
 
-/** Dispatch to the subcommand; nullopt for an unknown command. */
-std::optional<int>
-dispatch(const std::string &cmd, const Args &args, std::ostream &out,
-         std::ostream &err)
+int
+cmdObsReport(const Args &args, std::ostream &out, std::ostream &err)
 {
-    if (cmd == "generate")
-        return cmdGenerate(args, out, err);
-    if (cmd == "convert")
-        return cmdConvert(args, out, err);
-    if (cmd == "characterize")
-        return cmdCharacterize(args, out, err);
-    if (cmd == "project")
-        return cmdProject(args, out, err);
-    if (cmd == "sweep")
-        return cmdSweep(args, out, err);
-    if (cmd == "advise")
-        return cmdAdvise(args, out, err);
-    if (cmd == "diagnose")
-        return cmdDiagnose(args, out, err);
-    if (cmd == "plan")
-        return cmdPlan(args, out, err);
-    if (cmd == "serve" || cmd == "capacity" || cmd == "schedule") {
-        // The fleet layer and the cluster scheduler validate by
-        // throwing invalid_argument, and their bad values (qps,
-        // requests, max-batch, servers, rate, ...) come straight from
-        // the flags: report them as CLI errors instead of letting the
-        // exception abort the process.
-        try {
-            if (cmd == "serve")
-                return cmdServe(args, out, err);
-            if (cmd == "capacity")
-                return cmdCapacity(args, out, err);
-            return cmdSchedule(args, out, err);
-        } catch (const std::invalid_argument &e) {
-            err << "error: " << e.what() << "\n";
+    auto run = loadRun(args.positional[0], err);
+    if (!run)
+        return 1;
+    out << obs::reportText(*run);
+    return 0;
+}
+
+int
+cmdObsTop(const Args &args, std::ostream &out, std::ostream &err)
+{
+    auto run = loadRun(args.positional[0], err);
+    if (!run)
+        return 1;
+    if (run->kind != obs::RunData::Kind::JobLog) {
+        err << "error: obs top requires a job log "
+               "(--job-log output)\n";
+        return 1;
+    }
+    out << obs::topText(*run, static_cast<size_t>(args.num("limit")));
+    return 0;
+}
+
+/** A timeline's per-series scalars, the RunData obs diff compares. */
+std::optional<obs::RunData>
+loadTimelineScalars(const std::string &path, std::ostream &err)
+{
+    auto data = loadTimeline(path, err);
+    if (!data)
+        return std::nullopt;
+    return obs::timelineScalars(*data);
+}
+
+/**
+ * `obs diff` and `obs timeline diff`: compare two runs read by
+ * @p load. Exit 2 on regression so scripts can tell "worse than the
+ * baseline" from "could not run" (exit 1); the CI perf gate relies on
+ * it.
+ */
+template <auto load>
+int
+cmdDiff(const Args &args, std::ostream &out, std::ostream &err)
+{
+    auto a = load(args.positional[0], err);
+    if (!a)
+        return 1;
+    auto b = load(args.positional[1], err);
+    if (!b)
+        return 1;
+    auto diff = obs::diffRuns(*a, *b, args.num("tolerance"));
+    out << obs::renderDiff(diff);
+    return diff.regression ? 2 : 0;
+}
+
+int
+cmdObsTimeline(const Args &args, std::ostream &out, std::ostream &err)
+{
+    auto data = loadTimeline(args.positional[0], err);
+    if (!data)
+        return 1;
+    out << obs::renderTimelineReport(*data);
+    if (auto plot = args.flag("plot")) {
+        auto it = data->series.find(*plot);
+        if (it == data->series.end()) {
+            err << "error: no series '" << *plot
+                << "' in the timeline (see the report above "
+                   "for series names)\n";
             return 1;
         }
+        out << "\n" << *plot << ":\n"
+            << stats::renderSeriesPlot(it->second, 64, 16,
+                                       "window end, seconds");
     }
-    if (cmd == "obs")
-        return cmdObs(args, out, err);
-    return std::nullopt;
+    return 0;
+}
+
+/** Flags every command takes. */
+const std::vector<Flag> &
+globalFlags()
+{
+    static const std::vector<Flag> flags{
+        // The cap $PAICHAR_THREADS has too.
+        integer("threads", 1, 1 << 16, "",
+                "worker threads (default: $PAICHAR_THREADS, else all)"),
+        {"metrics", Kind::OptionalValue, 0, 0, {}, "", "FILE",
+         "write the metric summary to FILE (default: stderr)"},
+        choice("metrics-format", {"text", "openmetrics"}, "text",
+               "metric summary format"),
+        text("profile", "FILE", "",
+             "write a Chrome trace of the run (Perfetto)"),
+        text("job-log", "FILE", "",
+             "write one JSONL record per simulated job"),
+        text("job-trace", "FILE", "",
+             "write a per-worker Chrome trace of the jobs"),
+        text("timeline", "FILE", "",
+             "write sim-time series (queue depth, fleet size, ...)"),
+        number("timeline-interval", kPositive, kInf, "10",
+               "timeline period in simulated seconds"),
+        choice("timeline-format", {"csv", "json"}, "",
+               "json for a .json --timeline, else csv"),
+    };
+    return flags;
+}
+
+/** Every subcommand, in --help order. */
+const std::vector<Command> &
+commands()
+{
+    static const double kMaxJobs =
+        static_cast<double>(std::vector<TrainingJob>().max_size());
+    static const Flag trace_format =
+        choice("trace-format", {"csv", "bin"}, "",
+               "bin for a .paib/.bin path, else csv");
+    static const Flag tolerance = number(
+        "tolerance", 0, kInf, "10", "percent a scalar may move");
+    static const Flag gpu_mem = number("gpu-mem", kPositive, kInf,
+                                       "32e9", "GPU memory, bytes");
+    static const std::vector<Flag> fleet{
+        number("qps", kPositive, kInf, "",
+               "offered load (default: half of batch-1 capacity)"),
+        number("slo-ms", kPositive, kInf, "",
+               "p99 SLO (default: 5x the batch-1 latency)"),
+        integer("servers", 1, kMaxInt, "1", "fleet size"),
+        integer("max-batch", 1, kMaxInt, "8", "largest batch"),
+        choice("routing", {"round-robin", "least-queue", "p2c"},
+               "round-robin", "request routing"),
+        choice("batching", {"greedy", "continuous"}, "greedy",
+               "batch formation"),
+        choice("arrival", {"constant", "diurnal", "bursty"},
+               "constant", "arrival process"),
+        integer("admit", 0, kMaxInt, "0", "queue depth cap; 0 = none"),
+        choice("autoscale", {"0", "1", "queue", "slo"}, "0",
+               "off, on queue depth (1, queue) or on p99 (slo)"),
+        integer("max-servers", 1, kMaxInt, "64",
+                "autoscaler ceiling; capacity's search limit"),
+        integer("requests", 1, kMaxInt64, "20000", "requests to run"),
+    };
+    static const std::vector<Command> table{
+        {"generate", "", "no arguments", cmdGenerate,
+         "synthesize a PAI-like cluster trace",
+         {integer("jobs", 1, kMaxJobs, "20000", "trace size"),
+          integer("seed", 0, kMaxUint64, "20181201", "generator seed"),
+          text("out", "FILE", "", "write to FILE, not stdout"),
+          trace_format}},
+        {"convert", "IN OUT", "an input and an output trace file",
+         cmdConvert, "re-encode a trace as CSV or paib binary",
+         {trace_format}},
+        {"characterize", "TRACE", "a trace file", cmdCharacterize,
+         "workload constitution and cNode-level breakdown", {}},
+        {"project", "TRACE", "a trace file", cmdProject,
+         "project PS/Worker jobs onto another architecture",
+         {text("target", "ARCH", "AllReduce-Local",
+               "architecture to project onto")}},
+        {"sweep", "TRACE", "a trace file", cmdSweep,
+         "sweep hardware resources for one architecture's jobs",
+         {text("arch", "ARCH", "PS/Worker", "jobs to sweep")}},
+        {"advise", "", "no arguments", cmdAdvise,
+         "rank the architectures for one job",
+         {number("flops", 0, kInf, "", "FLOPs per step (required)"),
+          number("mem", 0, kInf, "", "memory bytes per step (required)"),
+          number("input", 0, kInf, "", "input bytes per step (required)"),
+          number("comm", 0, kInf, "", "comm bytes per step (required)"),
+          number("dense-weights", 0, kInf, "",
+                 "dense weight bytes (default: --comm)"),
+          number("embedding-weights", 0, kInf, "0",
+                 "embedding weight bytes"),
+          number("batch", kPositive, kInf, "256", "batch size"),
+          integer("cnodes", 1, kMaxInt, "8", "cNodes"), gpu_mem}},
+        {"diagnose", "MODEL", "a model name", cmdDiagnose,
+         "profile a model on the testbed and name its bottleneck", {}},
+        {"plan", "MODEL", "a model name", cmdPlan,
+         "search the optimization space for a model\n"
+         "Prices every feasible plan analytically and measures the best\n"
+         "--top K on the testbed. --passes is a comma list of the\n"
+         "dimensions mixed-precision, xla-fusion, subgraph-partition,\n"
+         "channel-split, micro-batch and arch.",
+         {choice("search", {"exhaustive", "beam"}, "exhaustive",
+                 "search strategy"),
+          integer("top", 0, kMaxInt, "12", "plans measured"),
+          integer("beam", 1, kMaxInt, "6", "beam width"),
+          text("passes", "LIST", "",
+               "dimensions to search (default: all)"),
+          gpu_mem,
+          choice("format", {"table", "json"}, "table",
+                 "output format")}},
+        {"serve", "MODEL", "a model name", cmdServe,
+         "simulate an inference fleet\n"
+         "--autoscale slo scales on the trailing window's p99\n"
+         "latency against --slo-ms instead of queue depth.",
+         fleet},
+        {"capacity", "MODEL", "a model name", cmdCapacity,
+         "find the smallest fleet that holds a p99 SLO", fleet},
+        {"schedule", "TRACE", "a trace file", cmdSchedule,
+         "replay a trace through a cluster under a queueing policy\n"
+         "Prediction-driven policies (spf, spf-preempt, gang, and\n"
+         "backfill's EASY reservations) order the queue by predicted\n"
+         "run time: the analytical model's (--predictor model) or one\n"
+         "fit on a recorded job log (--history).",
+         {integer("servers", 1, kMaxInt, "64", "cluster size"),
+          number("nvlink-frac", 0, 1, "0.5", "NVLink server share"),
+          integer("port", 0, 1, "0", "1 ports PS/Worker to AllReduce"),
+          number("rate", -kInf, kInf, "150", "submissions per hour"),
+          choice("policy", clustersim::policyNames(), "backfill",
+                 "queueing policy"),
+          choice("predictor", {"model", "quantile", "linear", "none"},
+                 "model", "run-time predictor"),
+          text("history", "JOBLOG", "", "job log to fit predictors on"),
+          number("quantile", 0, 1, "0.5", "history quantile"),
+          choice("placement", {"first-fit", "best-fit"}, "first-fit",
+                 "server choice"),
+          number("hetero", 0, 1, "0", "share of older-GPU servers"),
+          integer("compare-fifo", 0, 1, "0", "1 adds a FIFO rerun")}},
+        {"obs report", "RUN", "a run file", cmdObsReport,
+         "summarize a --job-log or --metrics file", {}},
+        {"obs diff", "RUN_A RUN_B", "two run files", cmdDiff<loadRun>,
+         "compare two runs; exit 2 on a regression", {tolerance}},
+        {"obs top", "JOBLOG", "a job-log file", cmdObsTop,
+         "the slowest jobs of a job log",
+         {integer("limit", 1, kMaxInt64, "10", "jobs to list")}},
+        {"obs timeline", "TIMELINE", "a timeline CSV file",
+         cmdObsTimeline, "per-series stats of a --timeline CSV",
+         {text("plot", "SERIES", "", "draw one series")}},
+        {"obs timeline diff", "TIMELINE_A TIMELINE_B",
+         "two timeline CSV files", cmdDiff<loadTimelineScalars>,
+         "compare two timelines; exit 2 on a regression", {tolerance}},
+    };
+    return table;
+}
+
+size_t
+wordCount(const std::string &s)
+{
+    return s.empty() ? 0 : std::count(s.begin(), s.end(), ' ') + 1;
+}
+
+/** The command whose words start @p argv, longest match first. */
+const Command *
+findCommand(const std::vector<std::string> &argv)
+{
+    const Command *best = nullptr;
+    std::string words;
+    for (const std::string &w : argv) {
+        words += (words.empty() ? "" : " ") + w;
+        for (const Command &c : commands()) {
+            if (c.name == words)
+                best = &c;
+        }
+    }
+    return best;
+}
+
+const Flag *
+findFlag(const Command &cmd, const std::string &name)
+{
+    for (const auto *list : {&cmd.flags, &globalFlags()}) {
+        for (const Flag &f : *list) {
+            if (f.name == name)
+                return &f;
+        }
+    }
+    return nullptr;
+}
+
+std::string
+join(const std::vector<std::string> &words, const char *sep)
+{
+    std::string s;
+    for (const std::string &w : words)
+        s += (s.empty() ? "" : sep) + w;
+    return s;
+}
+
+/** "a or b" for two choices, "one of a, b, c" for more. */
+std::string
+oneOf(const std::vector<std::string> &choices)
+{
+    if (choices.size() == 2)
+        return choices[0] + " or " + choices[1];
+    return "one of " + join(choices, ", ");
+}
+
+/** What a numeric flag accepts, for its error message. */
+std::string
+domain(const Flag &f)
+{
+    auto fmt = [&](double x) {
+        char buf[40];
+        std::snprintf(buf, sizeof buf,
+                      f.kind == Kind::Int ? "%.0f" : "%g", x);
+        return std::string(buf);
+    };
+    if (f.kind == Kind::Int) {
+        return (f.lo == 0 ? "a non-negative" : "a positive") +
+               std::string(" integer up to ") + fmt(f.hi);
+    }
+    if (f.lo == kPositive)
+        return "a positive, finite number";
+    if (f.lo == -kInf)
+        return "a finite number";
+    if (f.hi == kInf)
+        return "a number >= " + fmt(f.lo);
+    return "a number in [" + fmt(f.lo) + ", " + fmt(f.hi) + "]";
+}
+
+/** Throw invalid_argument unless @p v is a valid value for @p f. */
+void
+checkValue(const Flag &f, const std::string &v)
+{
+    auto reject = [&](const std::string &what) {
+        throw std::invalid_argument("flag --" + f.name + " expects " +
+                                    what + ", got '" + v + "'");
+    };
+    switch (f.kind) {
+        case Kind::OptionalValue:
+            return;
+        case Kind::Text:
+            if (v.empty())
+                reject("a value");
+            return;
+        case Kind::Choice:
+            if (std::find(f.choices.begin(), f.choices.end(), v) ==
+                f.choices.end())
+                reject(oneOf(f.choices));
+            return;
+        case Kind::Int:
+        case Kind::Number:
+            break;
+    }
+    const char *s = v.c_str();
+    char *end = nullptr;
+    double x = std::strtod(s, &end);
+    while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end)))
+        ++end;
+    if (end == s || *end != '\0')
+        reject("a number");
+    // NaN fails every comparison, and no range reaches an infinity.
+    bool whole = f.kind == Kind::Number || x == std::floor(x);
+    if (!whole || !std::isfinite(x) || x < f.lo || x > f.hi)
+        reject(domain(f));
+}
+
+/**
+ * Split @p argv (the words after the command's name) into flags and
+ * positionals and check both against @p cmd's table. Flags take their
+ * value as the next argument or inline (--name=value).
+ */
+Args
+parseArgs(const Command &cmd, const std::vector<std::string> &argv)
+{
+    Args a;
+    for (size_t i = 0; i < argv.size(); ++i) {
+        if (argv[i].rfind("--", 0) != 0) {
+            a.positional.push_back(argv[i]);
+            continue;
+        }
+        std::string body = argv[i].substr(2);
+        auto eq = body.find('=');
+        std::string name = body.substr(0, eq);
+        if (name == "shards")
+            throw std::invalid_argument("--shards was removed: the event "
+                                        "engine is a single queue");
+        const Flag *f = findFlag(cmd, name);
+        if (!f)
+            throw std::invalid_argument("unknown flag --" + name +
+                                        " for " + cmd.name);
+        std::string &value = a.flags[name];
+        if (eq != std::string::npos)
+            value = body.substr(eq + 1);
+        else if (f->kind == Kind::OptionalValue)
+            value.clear();
+        else if (i + 1 < argv.size())
+            value = argv[++i];
+        else
+            throw std::invalid_argument("flag --" + name +
+                                        " expects a value");
+        checkValue(*f, value);
+    }
+    size_t n = a.positional.size();
+    if (n != wordCount(cmd.positionals)) {
+        throw std::invalid_argument(
+            cmd.name + " expects " + cmd.expects + ", got " +
+            std::to_string(n) + " argument" + (n == 1 ? "" : "s"));
+    }
+    for (const auto *list : {&cmd.flags, &globalFlags()}) {
+        for (const Flag &f : *list) {
+            if (!f.def.empty())
+                a.flags.emplace(f.name, f.def);
+        }
+    }
+    return a;
+}
+
+/** @p left, then @p right from column 28 (on its own line if needed). */
+void
+printRow(std::ostream &out, const std::string &left,
+         const std::string &right)
+{
+    constexpr size_t kColumn = 28;
+    out << left;
+    if (left.size() + 2 > kColumn)
+        out << "\n" << std::string(kColumn, ' ');
+    else
+        out << std::string(kColumn - left.size(), ' ');
+    out << right << "\n";
+}
+
+void
+printFlags(std::ostream &out, const std::vector<Flag> &flags)
+{
+    for (const Flag &f : flags) {
+        std::string left = "  --" + f.name;
+        if (f.kind == Kind::OptionalValue)
+            left += "[=" + f.metavar + "]";
+        else if (f.kind == Kind::Choice)
+            left += " " + join(f.choices, "|");
+        else
+            left += " " + f.metavar;
+        printRow(out, left,
+                 f.help + (f.def.empty() ? "" : " (default " + f.def +
+                                                    ")"));
+    }
+}
+
+std::string
+usageLine(const Command &cmd)
+{
+    return cmd.positionals.empty() ? cmd.name
+                                   : cmd.name + " " + cmd.positionals;
+}
+
+void
+printUsage(std::ostream &out)
+{
+    out << "paichar -- Alibaba-PAI training-workload characterization "
+           "(IISWC'19 reproduction)\n"
+           "\n"
+           "usage: paichar COMMAND [ARGS] [--flag VALUE ...]\n"
+           "\n"
+           "commands:\n";
+    for (const Command &c : commands())
+        printRow(out, "  " + usageLine(c),
+                 c.help.substr(0, c.help.find('\n')));
+    out << "\nglobal flags (every command; they never touch stdout):\n";
+    printFlags(out, globalFlags());
+    out << "\n"
+           "Run 'paichar COMMAND --help' for a command's flags. Flags "
+           "may be written\n--flag VALUE or --flag=VALUE; unknown "
+           "flags are rejected.\n"
+           "\n"
+           "Quantities are base units (FLOPs, bytes); ARCH uses the "
+           "paper names\n(\"PS/Worker\", \"AllReduce-Local\", "
+           "\"AllReduce-Cluster\", \"PEARL\", ...); MODEL is\nresnet50, "
+           "nmt, bert, speech, multi-interests or gcn. TRACE files "
+           "may be\nCSV or paib binary; the format is auto-detected. "
+           "Outputs are identical\nfor every --threads N. obs diff "
+           "and obs timeline diff exit 2 on a\nregression.\n";
+}
+
+void
+printHelp(const Command &cmd, std::ostream &out)
+{
+    out << "usage: paichar " << usageLine(cmd) << " [flags]\n\n"
+        << cmd.help << "\n";
+    if (!cmd.flags.empty()) {
+        out << "\nflags:\n";
+        printFlags(out, cmd.flags);
+    }
+    out << "\nEvery command also takes the global flags of "
+           "'paichar --help'.\n";
 }
 
 /**
@@ -1411,174 +1458,124 @@ readTextFile(const std::string &path, std::ostream &err)
     return std::move(buf).str();
 }
 
+/**
+ * Run @p body, reporting what the libraries throw on bad input as
+ * `error: ...` with exit 1 instead of letting it end the process.
+ */
+template <typename Body>
+int
+guarded(std::ostream &err, Body &&body)
+{
+    try {
+        return body();
+    } catch (const std::invalid_argument &e) {
+        err << "error: " << e.what() << "\n";
+    } catch (const std::length_error &e) {
+        err << "error: size too large (" << e.what() << ")\n";
+    } catch (const std::bad_alloc &) {
+        err << "error: out of memory\n";
+    }
+    return 1;
+}
+
+/** Run @p cmd under the observability its global flags ask for. */
+int
+runObserved(const Command &cmd, const Args &args, std::ostream &out,
+            std::ostream &err)
+{
+    if (args.flag("threads"))
+        runtime::setThreadCount(static_cast<int>(args.num("threads")));
+    auto metrics_dest = args.flag("metrics");
+    auto profile_path = args.flag("profile");
+    auto job_log_path = args.flag("job-log");
+    auto job_trace_path = args.flag("job-trace");
+    auto timeline_path = args.flag("timeline");
+    if (profile_path)
+        obs::startProfiling();
+    if (job_log_path || job_trace_path)
+        obs::startJobLog();
+    if (timeline_path)
+        obs::startTimeline(args.num("timeline-interval"));
+
+    int rc;
+    {
+        // The root span: everything a subcommand does nests under
+        // cli.<cmd> in the exported trace.
+        obs::Span span(obs::internName(
+            "cli." + cmd.name.substr(0, cmd.name.find(' '))));
+        rc = guarded(err, [&] { return cmd.handler(args, out, err); });
+    }
+
+    // Exporters write to files or err only -- stdout stays
+    // byte-identical with and without observability flags.
+    auto write = [&](const std::string &path, const std::string &text) {
+        if (!writeTextFile(path, text, err) && rc == 0)
+            rc = 1;
+    };
+    if (profile_path) {
+        obs::stopProfiling();
+        write(*profile_path, obs::profileToJson());
+    }
+    if (timeline_path) {
+        obs::stopTimeline();
+        // Default format follows the extension, like generate's
+        // --out (.json = JSON, anything else = CSV).
+        bool json_ext =
+            timeline_path->size() >= 5 &&
+            timeline_path->compare(timeline_path->size() - 5, 5,
+                                   ".json") == 0;
+        bool json = args.flag("timeline-format")
+                        .value_or(json_ext ? "json" : "csv") == "json";
+        write(*timeline_path, json ? obs::renderTimelineJson()
+                                   : obs::renderTimelineCsv());
+    }
+    if (job_log_path || job_trace_path) {
+        obs::stopJobLog();
+        auto records = obs::collectJobLog();
+        if (job_log_path)
+            write(*job_log_path, obs::renderJobLogJsonl(records));
+        if (job_trace_path)
+            write(*job_trace_path, obs::renderJobChromeTrace(records));
+    }
+    if (metrics_dest) {
+        std::string text = *args.flag("metrics-format") == "openmetrics"
+                               ? obs::renderMetricsOpenMetrics()
+                               : obs::renderMetricsSummary();
+        if (metrics_dest->empty())
+            err << text;
+        else
+            write(*metrics_dest, text);
+    }
+    return rc;
+}
+
 } // namespace
 
 int
-run(const std::vector<std::string> &args, std::ostream &out,
+run(const std::vector<std::string> &argv, std::ostream &out,
     std::ostream &err)
 {
-    if (args.empty() || args[0] == "help" || args[0] == "--help") {
+    if (argv.empty() || argv[0] == "help" || argv[0] == "--help") {
         printUsage(out);
-        return args.empty() ? 1 : 0;
+        return argv.empty() ? 1 : 0;
     }
-    auto parsed = parseArgs(args, err);
-    if (!parsed)
-        return 1;
-
-    const std::string &cmd = args[0];
-    try {
-        if (parsed->flag("threads")) {
-            double t = parsed->numFlag("threads", 0);
-            if (t < 1 || t != std::floor(t)) {
-                err << "error: --threads expects a positive "
-                       "integer\n";
-                return 1;
-            }
-            runtime::setThreadCount(static_cast<int>(t));
-        }
-        if (parsed->flag("shards")) {
-            err << "error: --shards was removed: the event engine is "
-                   "a single queue\n";
-            return 1;
-        }
-
-        auto metrics_dest = parsed->flag("metrics");
-        auto profile_path = parsed->flag("profile");
-        if (profile_path && profile_path->empty()) {
-            err << "error: --profile expects an output file\n";
-            return 1;
-        }
-        std::string metrics_format =
-            parsed->flag("metrics-format").value_or("text");
-        if (metrics_format != "text" &&
-            metrics_format != "openmetrics") {
-            err << "error: --metrics-format expects text or "
-                   "openmetrics, got '"
-                << metrics_format << "'\n";
-            return 1;
-        }
-        auto job_log_path = parsed->flag("job-log");
-        auto job_trace_path = parsed->flag("job-trace");
-        if ((job_log_path && job_log_path->empty()) ||
-            (job_trace_path && job_trace_path->empty())) {
-            err << "error: --job-log/--job-trace expect an output "
-                   "file\n";
-            return 1;
-        }
-        auto timeline_path = parsed->flag("timeline");
-        if (timeline_path && timeline_path->empty()) {
-            err << "error: --timeline expects an output file\n";
-            return 1;
-        }
-        std::string timeline_format;
-        if (timeline_path) {
-            // Default format follows the extension, like generate's
-            // --out (.json = JSON, anything else = CSV).
-            bool json_ext =
-                timeline_path->size() >= 5 &&
-                timeline_path->compare(timeline_path->size() - 5, 5,
-                                       ".json") == 0;
-            timeline_format =
-                parsed->flag("timeline-format")
-                    .value_or(json_ext ? "json" : "csv");
-            if (timeline_format != "csv" &&
-                timeline_format != "json") {
-                err << "error: --timeline-format expects csv or "
-                       "json, got '"
-                    << timeline_format << "'\n";
-                return 1;
-            }
-        }
-        if (profile_path)
-            obs::startProfiling();
-        if (job_log_path || job_trace_path)
-            obs::startJobLog();
-        if (timeline_path) {
-            // Timeline validates by throwing: a bad
-            // --timeline-interval must fail identically in NDEBUG
-            // builds.
-            try {
-                obs::startTimeline(
-                    parsed->numFlag("timeline-interval", 10.0));
-            } catch (const std::invalid_argument &e) {
-                err << "error: " << e.what() << "\n";
-                return 1;
-            }
-        }
-
-        std::optional<int> rc;
-        {
-            // The root span: everything a subcommand does nests
-            // under cli.<cmd> in the exported trace.
-            obs::Span span(obs::internName("cli." + cmd));
-            rc = dispatch(cmd, *parsed, out, err);
-        }
-
-        // Exporters write to files or err only -- stdout stays
-        // byte-identical with and without observability flags.
-        if (profile_path) {
-            obs::stopProfiling();
-            if (rc &&
-                !writeTextFile(*profile_path, obs::profileToJson(),
-                               err) &&
-                rc == 0) {
-                rc = 1;
-            }
-        }
-        if (timeline_path) {
-            obs::stopTimeline();
-            if (rc) {
-                std::string text = timeline_format == "json"
-                                       ? obs::renderTimelineJson()
-                                       : obs::renderTimelineCsv();
-                if (!writeTextFile(*timeline_path, text, err) &&
-                    rc == 0) {
-                    rc = 1;
-                }
-            }
-        }
-        if (job_log_path || job_trace_path) {
-            obs::stopJobLog();
-            if (rc) {
-                auto records = obs::collectJobLog();
-                if (job_log_path &&
-                    !writeTextFile(*job_log_path,
-                                   obs::renderJobLogJsonl(records),
-                                   err) &&
-                    rc == 0) {
-                    rc = 1;
-                }
-                if (job_trace_path &&
-                    !writeTextFile(
-                        *job_trace_path,
-                        obs::renderJobChromeTrace(records), err) &&
-                    rc == 0) {
-                    rc = 1;
-                }
-            }
-        }
-        if (metrics_dest && rc) {
-            std::string text =
-                metrics_format == "openmetrics"
-                    ? obs::renderMetricsOpenMetrics()
-                    : obs::renderMetricsSummary();
-            if (metrics_dest->empty()) {
-                err << text;
-            } else if (!writeTextFile(*metrics_dest, text, err) &&
-                       rc == 0) {
-                rc = 1;
-            }
-        }
-        if (rc)
-            return *rc;
-    } catch (const UsageError &e) {
-        err << e.what() << "\n";
+    const Command *cmd = findCommand(argv);
+    if (!cmd) {
+        err << "error: unknown command '" << argv[0] << "'\n";
+        printUsage(err);
         return 1;
     }
-
-    err << "error: unknown command '" << cmd << "'\n";
-    printUsage(err);
-    return 1;
+    std::vector<std::string> rest(argv.begin() + wordCount(cmd->name),
+                                  argv.end());
+    if (std::find(rest.begin(), rest.end(), "--help") != rest.end()) {
+        printHelp(*cmd, out);
+        return 0;
+    }
+    // Nothing has started yet when argv is rejected; runObserved
+    // guards the command itself so its exporters still run.
+    return guarded(err, [&] {
+        return runObserved(*cmd, parseArgs(*cmd, rest), out, err);
+    });
 }
 
 } // namespace paichar::cli

@@ -1,46 +1,13 @@
 /**
  * @file
  * The `paichar` command-line interface, as a library so tests can
- * drive it. Subcommands cover the production workflow end to end:
- *
- *   paichar generate   --jobs N --seed S --out trace.csv
- *                      [--trace-format csv|bin]
- *   paichar convert    in.csv out.paib [--trace-format csv|bin]
- *   paichar characterize trace.csv
- *   paichar project    trace.csv [--target <arch>]
- *   paichar sweep      trace.csv [--arch <arch>]
- *   paichar advise     --flops F --mem M --input I --comm C
- *                      [--dense-weights D] [--embedding-weights E]
- *                      [--cnodes N] [--gpu-mem BYTES]
- *   paichar diagnose   MODEL        (resnet50|nmt|bert|speech|
- *                                    multi-interests|gcn)
- *   paichar schedule   trace.csv [--servers N] [--nvlink-frac F]
- *                      [--port 0|1] [--rate JOBS_PER_HOUR]
- *   paichar obs        report RUN | diff A B [--tolerance PCT] |
- *                      top JOBLOG [--limit N]
- *
- * All quantities are base units (FLOPs, bytes); architectures use the
- * paper names ("PS/Worker", "AllReduce-Local", ...).
- *
- * Trace files may be CSV or the `paib` binary columnar format; every
- * command that reads a trace auto-detects the format by magic.
- * `generate` and `convert` pick the output encoding via
- * `--trace-format csv|bin` (convert falls back to the output
- * extension: .paib/.bin means binary).
- *
- * Every command accepts a global `--threads N` flag controlling the
- * paichar::runtime worker pool (default: the PAICHAR_THREADS
- * environment variable, else hardware concurrency; 1 runs the exact
- * serial path). Command outputs are byte-identical for every N.
- *
- * Observability flags (`--metrics[=FILE]`,
- * `--metrics-format text|openmetrics`, `--profile FILE`,
- * `--job-log FILE`, `--job-trace FILE`) write to files or err only;
- * stdout stays byte-identical with and without them. `obs` analyzes
- * the artifacts: `report` summarizes a run, `top` lists the slowest
- * jobs/phases of a job log, and `diff` compares two runs, exiting 2
- * when any shared scalar moves past `--tolerance` percent (the CI
- * perf gate; see DESIGN.md Sec 10).
+ * drive it. The subcommands cover the workflow end to end: generate,
+ * convert, characterize, project and sweep a trace, advise, diagnose
+ * and plan a model, serve and capacity for an inference fleet,
+ * schedule a trace on a cluster, and obs to read the runs back. One
+ * table in cli.cc declares every subcommand and flag; `paichar
+ * --help` and `paichar CMD --help` print it, and the parser built on
+ * it rejects unknown flags and bad values before any work starts.
  */
 
 #ifndef PAICHAR_CLI_CLI_H
@@ -58,7 +25,8 @@ namespace paichar::cli {
  * @param args Arguments excluding the program name.
  * @param out  Normal output stream.
  * @param err  Error/diagnostic stream.
- * @return Process exit code (0 on success, 1 on user error).
+ * @return Process exit code: 0 on success, 1 on an error, 2 when
+ *         `obs diff` or `obs timeline diff` finds a regression.
  */
 int run(const std::vector<std::string> &args, std::ostream &out,
         std::ostream &err);

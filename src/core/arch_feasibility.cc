@@ -1,7 +1,8 @@
 #include "arch_feasibility.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace paichar::core {
 
@@ -13,9 +14,19 @@ resolvePlacement(const WorkloadFeatures &f, ArchType arch,
                  int requested_cnodes, const hw::ServerSpec &server,
                  double gpu_memory_bytes, int partition_ways)
 {
-    assert(requested_cnodes >= 1);
-    assert(partition_ways >= 1);
-    assert(gpu_memory_bytes > 0.0);
+    // Callers pass user input (advise --cnodes, plan --gpu-mem), so
+    // these hold in release builds too.
+    if (requested_cnodes < 1 || partition_ways < 1) {
+        throw std::invalid_argument(
+            "resolvePlacement: cNodes and partition ways must be >= 1, "
+            "got " + std::to_string(requested_cnodes) + " and " +
+            std::to_string(partition_ways));
+    }
+    if (!(gpu_memory_bytes > 0.0)) {
+        throw std::invalid_argument(
+            "resolvePlacement: GPU memory must be positive, got " +
+            std::to_string(gpu_memory_bytes));
+    }
 
     Placement p;
     p.arch = arch;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "core/arch_feasibility.h"
 #include "obs/obs.h"
@@ -15,7 +17,11 @@ ArchitectureAdvisor::ArchitectureAdvisor(const AnalyticalModel &model,
                                          double gpu_memory_bytes)
     : model_(model), gpu_memory_bytes_(gpu_memory_bytes)
 {
-    assert(gpu_memory_bytes_ > 0.0);
+    if (!(gpu_memory_bytes_ > 0.0)) {
+        throw std::invalid_argument(
+            "ArchitectureAdvisor: GPU memory must be positive, got " +
+            std::to_string(gpu_memory_bytes_));
+    }
 }
 
 ArchOption
@@ -69,8 +75,15 @@ ArchitectureAdvisor::recommend(const TrainingJob &job,
 {
     auto options = evaluate(job, mode);
     assert(!options.empty());
-    // PS/Worker and 1w1g are always feasible, so the front is too.
-    assert(options.front().feasible);
+    // Feasible options sort first. PS/Worker and 1w1g keep weights in
+    // host memory, but even they need the per-GPU working set, so a
+    // small enough budget leaves nothing feasible.
+    if (!options.front().feasible) {
+        throw std::invalid_argument(
+            "ArchitectureAdvisor: no architecture fits the job in " +
+            std::to_string(gpu_memory_bytes_) +
+            " bytes of GPU memory (" + options.front().reason + ")");
+    }
     return options.front();
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "core/arch_feasibility.h"
 #include "obs/obs.h"
@@ -56,8 +58,16 @@ rankByThroughput(const std::vector<PlanSpec> &specs,
 OptimizationPlanner::OptimizationPlanner(PlannerConfig cfg)
     : cfg_(std::move(cfg))
 {
-    assert(cfg_.gpu_memory_bytes > 0.0);
-    assert(cfg_.beam_width >= 1);
+    if (!(cfg_.gpu_memory_bytes > 0.0)) {
+        throw std::invalid_argument(
+            "OptimizationPlanner: gpu_memory_bytes must be positive, "
+            "got " + std::to_string(cfg_.gpu_memory_bytes));
+    }
+    if (cfg_.beam_width < 1) {
+        throw std::invalid_argument(
+            "OptimizationPlanner: beam_width must be >= 1, got " +
+            std::to_string(cfg_.beam_width));
+    }
 }
 
 std::vector<PlanSpec>
@@ -232,6 +242,19 @@ OptimizationPlanner::evaluate(const CaseStudyModel &model,
     static obs::Counter &plans_ctr =
         obs::counter("opt.plans_evaluated");
 
+    // Every speedup is relative to the measured baseline, so a budget
+    // the baseline does not fit in leaves nothing to compare against.
+    // Both searches keep a feasible baseline, so specs is non-empty.
+    core::Placement baseline = core::resolvePlacement(
+        model.features, model.arch, model.num_cnodes,
+        cfg_.sim.cluster.server, cfg_.gpu_memory_bytes);
+    if (!baseline.feasible) {
+        throw std::invalid_argument(
+            "OptimizationPlanner: " + model.name +
+            "'s baseline does not fit in " +
+            std::to_string(cfg_.gpu_memory_bytes) +
+            " bytes of GPU memory (" + baseline.reason + ")");
+    }
     std::vector<PlanSpec> specs = cfg_.search == SearchMode::Beam
                                       ? beamSearch(model, pool)
                                       : enumerate(model);

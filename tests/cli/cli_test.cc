@@ -606,5 +606,137 @@ TEST_F(CliWithTraceTest, ScheduleCompareFifoReportsDelta)
     EXPECT_NE(r.out.find("policy: spf"), std::string::npos);
 }
 
+// The table rejects what it does not know before any trace is read or
+// any stdout is written; these typos used to run silently.
+TEST_F(CliWithTraceTest, UnknownFlagsFailBeforeWork)
+{
+    auto r = runCli({"schedule", path_, "--polcy", "spf"});
+    EXPECT_EQ(r.code, 1);
+    EXPECT_EQ(r.err.rfind("error: unknown flag --polcy for schedule", 0),
+              0u)
+        << r.err;
+    EXPECT_TRUE(r.out.empty()) << r.out;
+
+    auto t = runCli({"characterize", path_, "--thread", "4"});
+    EXPECT_EQ(t.code, 1);
+    EXPECT_NE(t.err.find("unknown flag --thread"), std::string::npos)
+        << t.err;
+    EXPECT_TRUE(t.out.empty());
+
+    auto extra = runCli({"characterize", path_, path_});
+    EXPECT_EQ(extra.code, 1);
+    EXPECT_NE(extra.err.find("characterize expects a trace file"),
+              std::string::npos)
+        << extra.err;
+}
+
+TEST(CliTest, CommandHelpListsItsFlags)
+{
+    auto r = runCli({"schedule", "--help"});
+    EXPECT_EQ(r.code, 0) << r.err;
+    EXPECT_TRUE(r.err.empty()) << r.err;
+    EXPECT_EQ(r.out.rfind("usage: paichar schedule TRACE", 0), 0u)
+        << r.out;
+    for (const char *flag : {"--policy", "--predictor", "--compare-fifo"})
+        EXPECT_NE(r.out.find(flag), std::string::npos) << flag;
+
+    auto tl = runCli({"obs", "timeline", "diff", "--help"});
+    EXPECT_EQ(tl.code, 0);
+    EXPECT_NE(tl.out.find("--tolerance"), std::string::npos) << tl.out;
+
+    // The top-level usage lists every command and the global flags.
+    auto top = runCli({"--help"});
+    for (const char *text : {"capacity MODEL", "obs timeline TIMELINE",
+                             "--threads N", "--metrics[=FILE]"})
+        EXPECT_NE(top.out.find(text), std::string::npos) << text;
+}
+
+// Each of these used to reach an assert (SIGABRT) or an undefined
+// double-to-int cast; now the flag table rejects it before any work.
+TEST(CliTest, OutOfRangeFlagsFailBeforeWork)
+{
+    const std::vector<std::string> advise{
+        "advise", "--flops", "1e12", "--mem", "1e9", "--input", "1e6",
+        "--comm", "1e8"};
+    std::vector<std::vector<std::string>> bad;
+    for (const char *v : {"0", "-1", "nan", "1e10"})
+        bad.push_back({"--cnodes", v});
+    for (const char *v : {"0", "nan"})
+        bad.push_back({"--gpu-mem", v});
+    for (auto flags : bad) {
+        auto argv = advise;
+        argv.insert(argv.end(), flags.begin(), flags.end());
+        auto r = runCli(argv);
+        EXPECT_EQ(r.code, 1) << flags[0] << " " << flags[1];
+        EXPECT_EQ(r.err.rfind("error: flag " + flags[0], 0), 0u) << r.err;
+        EXPECT_TRUE(r.out.empty()) << r.out;
+    }
+    for (const auto &argv : std::vector<std::vector<std::string>>{
+             {"plan", "gcn", "--beam", "1e10"},
+             {"plan", "gcn", "--gpu-mem", "nan"},
+             {"serve", "bert", "--requests", "1e30"},
+             {"capacity", "bert", "--max-servers", "0"},
+             {"generate", "--jobs", "5", "--seed", "-1"},
+             {"generate", "--jobs", "5", "--threads", "1.5"},
+             {"obs", "top", "x.jsonl", "--limit", "2.5"}}) {
+        auto r = runCli(argv);
+        EXPECT_EQ(r.code, 1) << argv[2];
+        EXPECT_EQ(r.err.rfind("error: flag ", 0), 0u) << r.err;
+        EXPECT_TRUE(r.out.empty()) << argv[0] << ": " << r.out;
+    }
+}
+
+TEST_F(CliWithTraceTest, BinaryFlagsTakeOnlyZeroOrOne)
+{
+    for (const char *flag : {"--port", "--compare-fifo"}) {
+        auto r = runCli({"schedule", path_, flag, "2"});
+        EXPECT_EQ(r.code, 1) << flag;
+        EXPECT_NE(r.err.find("up to 1"), std::string::npos) << r.err;
+        EXPECT_TRUE(r.out.empty());
+    }
+}
+
+TEST(CliTest, IntFlagsAcceptAnyWholeNumberSpelling)
+{
+    auto plain = runCli({"generate", "--jobs", "10", "--seed", "5"});
+    auto sci = runCli({"generate", "--jobs", "1e1", "--seed", "5.0"});
+    ASSERT_EQ(plain.code, 0) << plain.err;
+    ASSERT_EQ(sci.code, 0) << sci.err;
+    EXPECT_EQ(plain.out, sci.out);
+}
+
+// Budgets no plan or architecture fits in, and sizes no vector can
+// hold, depend on the model, so they surface from the libraries as
+// errors (exit 1) rather than from the table; none may abort.
+TEST(CliTest, DataDependentLimitsAreErrorsNotSignals)
+{
+    auto advise = runCli({"advise", "--flops", "1e12", "--mem", "1e9",
+                          "--input", "1e6", "--comm", "1e8",
+                          "--gpu-mem", "2.5"});
+    EXPECT_EQ(advise.code, 1);
+    EXPECT_NE(advise.err.find("error: ArchitectureAdvisor: no "
+                              "architecture fits"),
+              std::string::npos)
+        << advise.err;
+
+    for (const char *mem : {"2.5", "1e9"}) {
+        for (const char *search : {"exhaustive", "beam"}) {
+            auto r = runCli({"plan", "gcn", "--gpu-mem", mem, "--search",
+                             search});
+            EXPECT_EQ(r.code, 1) << mem << " " << search;
+            EXPECT_NE(r.err.find("baseline does not fit"),
+                      std::string::npos)
+                << r.err;
+            EXPECT_TRUE(r.out.empty()) << r.out;
+        }
+    }
+
+    // Larger than any vector: the fleet's reserve() throws
+    // length_error without allocating.
+    auto serve = runCli({"serve", "bert", "--requests", "1e18"});
+    EXPECT_EQ(serve.code, 1);
+    EXPECT_EQ(serve.err.rfind("error: ", 0), 0u) << serve.err;
+}
+
 } // namespace
 } // namespace paichar::cli

@@ -19,7 +19,10 @@
  *  - the exponential sampler clamps a closed-interval uniform draw
  *    instead of emitting an infinite inter-arrival gap;
  *  - the cluster scheduler and its Poisson submission stream reject
- *    out-of-range configs and rates (NaN included) by throwing.
+ *    out-of-range configs and rates (NaN included) by throwing;
+ *  - placement, the architecture advisor and the optimization planner
+ *    reject cNode counts, GPU-memory budgets and beam widths that
+ *    `advise` and `plan` pass through, and budgets nothing fits in.
  */
 
 #include <gtest/gtest.h>
@@ -34,11 +37,14 @@
 #include <string>
 
 #include "clustersim/scheduler.h"
+#include "core/arch_feasibility.h"
+#include "core/arch_selection.h"
 #include "hw/hardware_config.h"
 #include "inference/fleet_sim.h"
 #include "inference/serving_sim.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
+#include "opt/optimization_planner.h"
 #include "sim/event_queue.h"
 #include "stats/arrival.h"
 #include "stats/ascii_plot.h"
@@ -350,6 +356,74 @@ TEST(NdebugSchedulerTest, ConfigAndStreamValidationThrowUnderNdebug)
     EXPECT_EQ(clustersim::poissonRequests(jobs, 100.0, 2000.0, 1.2, 1)
                   .size(),
               3u);
+}
+
+TEST(NdebugAdvisorTest, PlacementAndBudgetChecksThrowUnderNdebug)
+{
+    // `advise --cnodes 0|-1` and `--gpu-mem 0|nan` used to reach
+    // asserts; `--gpu-mem 2.5` left no feasible option for
+    // recommend() to return.
+    workload::WorkloadFeatures f;
+    f.flop_count = 1e12;
+    f.mem_access_bytes = 1e9;
+    f.input_bytes = 1e6;
+    f.comm_bytes = 1e8;
+    f.dense_weight_bytes = 1e8;
+    const hw::ServerSpec server = hw::v100Testbed().server;
+    for (int cnodes : {0, -1}) {
+        EXPECT_THROW(core::resolvePlacement(f, workload::ArchType::PsWorker,
+                                            cnodes, server, 32e9),
+                     std::invalid_argument)
+            << cnodes;
+    }
+    for (double mem : {0.0, -1.0, kNan}) {
+        EXPECT_THROW(core::resolvePlacement(f, workload::ArchType::PsWorker,
+                                            8, server, mem),
+                     std::invalid_argument)
+            << mem;
+    }
+
+    core::AnalyticalModel model(hw::v100Testbed());
+    EXPECT_THROW(core::ArchitectureAdvisor(model, 0.0),
+                 std::invalid_argument);
+    EXPECT_THROW(core::ArchitectureAdvisor(model, kNan),
+                 std::invalid_argument);
+    workload::TrainingJob job;
+    job.num_cnodes = 8;
+    job.features = f;
+    EXPECT_THROW(core::ArchitectureAdvisor(model, 2.5).recommend(job),
+                 std::invalid_argument);
+    EXPECT_TRUE(core::ArchitectureAdvisor(model, 32e9).recommend(job)
+                    .feasible);
+}
+
+TEST(NdebugPlannerTest, ConfigAndBudgetChecksThrowUnderNdebug)
+{
+    // `plan --beam 1e10` wrapped to a negative width and `--gpu-mem
+    // nan` slipped past the old asserts; `--gpu-mem 2.5` (or any
+    // budget the baseline does not fit in) left no baseline.
+    auto rejects = [](auto mutate) {
+        opt::PlannerConfig cfg;
+        mutate(cfg);
+        EXPECT_THROW(opt::OptimizationPlanner{cfg}, std::invalid_argument);
+    };
+    rejects([](auto &c) { c.gpu_memory_bytes = 0.0; });
+    rejects([](auto &c) { c.gpu_memory_bytes = kNan; });
+    rejects([](auto &c) { c.beam_width = 0; });
+    rejects([](auto &c) { c.beam_width = -1; });
+
+    for (auto search : {opt::SearchMode::Exhaustive, opt::SearchMode::Beam}) {
+        for (double mem : {2.5, 1e9}) {
+            opt::PlannerConfig cfg;
+            cfg.search = search;
+            cfg.gpu_memory_bytes = mem;
+            cfg.top_k = 0;
+            EXPECT_THROW(opt::OptimizationPlanner(cfg).evaluate(
+                             workload::ModelZoo::gcn(), nullptr),
+                         std::invalid_argument)
+                << mem;
+        }
+    }
 }
 
 } // namespace
