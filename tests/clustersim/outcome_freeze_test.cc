@@ -113,18 +113,29 @@ freezeCases()
     }
     // Coarse predictions put many queued jobs on the same key, so the
     // arrival-order tie-break decides the order.
+    auto roundedUpTo = [](double grain_s) {
+        return [grain_s](const workload::TrainingJob &, int64_t,
+                         double model_run_s) {
+            return std::ceil(model_run_s / grain_s) * grain_s;
+        };
+    };
     for (Policy p : {Policy::Spf, Policy::SpfPreempt}) {
         SchedulerConfig cfg = base;
         cfg.policy = p;
         cfg.port_ps_to_allreduce = true;
-        cfg.predictor = [](const workload::TrainingJob &, int64_t,
-                           double model_run_s) {
-            return std::ceil(model_run_s / 600.0) * 600.0;
-        };
+        cfg.predictor = roundedUpTo(600.0);
         cases.push_back({toString(p) + "/coarse-ties", cfg, saturating});
     }
-    // The non-SPF policies share the placement layer.
-    for (Policy p : {Policy::Fifo, Policy::Backfill, Policy::Gang}) {
+    // The non-SPF policies share the placement layer. Backfill is
+    // greedy without a predictor and EASY with the model's own.
+    auto modelRun = [](const workload::TrainingJob &, int64_t,
+                       double model_run_s) { return model_run_s; };
+    const std::vector<std::pair<std::string, Policy>> non_spf = {
+        {"fifo", Policy::Fifo},
+        {"backfill", Policy::Backfill},
+        {"backfill-easy", Policy::Backfill},
+        {"gang", Policy::Gang}};
+    for (const auto &[name, p] : non_spf) {
         for (bool best_fit : {false, true}) {
             SchedulerConfig cfg = base;
             cfg.policy = p;
@@ -132,10 +143,25 @@ freezeCases()
                                      : PlacementStrategy::FirstFit;
             cfg.port_ps_to_allreduce = true;
             cfg.old_gen_fraction = 0.25;
-            cases.push_back({toString(p) +
-                                 (best_fit ? "/best-fit" : "/first-fit"),
+            if (name == "backfill-easy")
+                cfg.predictor = modelRun;
+            cases.push_back({name + (best_fit ? "/best-fit" : "/first-fit"),
                              cfg, saturating});
         }
+    }
+    // Coarse predictions also make a backfilled job's predicted finish
+    // tie the head's reservation, where one ulp of rounding decides
+    // whether the reservation moves: (1800 / steps) * steps exceeds
+    // 1800 for about one step count in eight, while 600 s rounds up
+    // too rarely for these streams to reach that case.
+    const std::pair<std::string, Policy> reserving[] = {
+        {"backfill-easy", Policy::Backfill}, {"gang", Policy::Gang}};
+    for (const auto &[name, p] : reserving) {
+        SchedulerConfig cfg = base;
+        cfg.policy = p;
+        cfg.port_ps_to_allreduce = true;
+        cfg.predictor = roundedUpTo(1800.0);
+        cases.push_back({name + "/coarse-ties", cfg, saturating});
     }
     return cases;
 }
@@ -170,8 +196,9 @@ digest(const FreezeCase &c, Exercised *ex)
     return h;
 }
 
-// Recorded on the sort-and-restart SPF scan before the one-pass
-// rewrite; the rewrite must reproduce every schedule exactly.
+// Recorded on the scans that restarted after every placement (spf's
+// before its one-pass rewrite); a rewrite of the queue machinery must
+// reproduce every schedule exactly.
 const std::map<std::string, uint64_t> kFrozen = {
     {"spf/first-fit/port0/hetero0", 0xc3b06eb4ff7e4323ull},
     {"spf/first-fit/port0/hetero0.25", 0xf552a6e624d0d894ull},
@@ -203,8 +230,12 @@ const std::map<std::string, uint64_t> kFrozen = {
     {"fifo/best-fit", 0x947549b5b299ed86ull},
     {"backfill/first-fit", 0x51d281120fd256d0ull},
     {"backfill/best-fit", 0xf8b4fb2c9f69044aull},
+    {"backfill-easy/first-fit", 0x742325b35546236aull},
+    {"backfill-easy/best-fit", 0xa254449edb6a2f34ull},
     {"gang/first-fit", 0x0fb47c255feeb408ull},
     {"gang/best-fit", 0x7be1c54c1368adf7ull},
+    {"backfill-easy/coarse-ties", 0x2ccfd8b6955a9513ull},
+    {"gang/coarse-ties", 0x57cc10098119134full},
 };
 
 TEST(OutcomeFreeze, PolicyOutcomesMatchFrozenDigests)
