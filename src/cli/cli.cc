@@ -787,11 +787,8 @@ cmdSchedule(const Args &args, std::ostream &out, std::ostream &err)
 
     // Prediction-driven policies have nothing to order the queue by
     // when predictions are turned off entirely.
-    bool prediction_driven = cfg.policy == clustersim::Policy::Spf ||
-                             cfg.policy ==
-                                 clustersim::Policy::SpfPreempt ||
-                             cfg.policy == clustersim::Policy::Gang;
-    if (predictor_name == "none" && prediction_driven) {
+    if (predictor_name == "none" &&
+        clustersim::predictionDriven(cfg.policy)) {
         throw std::invalid_argument(
             "--policy " + policy_name +
             " is prediction-driven and cannot run with --predictor none "

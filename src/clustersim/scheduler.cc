@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <map>
 #include <optional>
@@ -12,7 +11,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "hw/hardware_config.h"
 #include "obs/job_log.h"
@@ -69,6 +67,13 @@ policyNames()
     static const std::vector<std::string> names{
         "fifo", "backfill", "spf", "spf-preempt", "gang"};
     return names;
+}
+
+bool
+predictionDriven(Policy p)
+{
+    return p == Policy::Spf || p == Policy::SpfPreempt ||
+           p == Policy::Gang;
 }
 
 namespace {
@@ -331,96 +336,119 @@ findFor(const Capacity &cap, const TrainingJob &job,
     return false;
 }
 
-/** True when the policy orders or gates the queue by predictions. */
-bool
-predictionDriven(Policy p)
+/**
+ * A queued job's placement search: the port-or-plain path, the
+ * planned arch and cNodes. Jobs of one shape fit or fail together.
+ */
+struct Shape
 {
-    return p == Policy::Spf || p == Policy::SpfPreempt ||
-           p == Policy::Gang;
-}
+    bool port = false;
+    int arch = 0;
+    int cnodes = 0;
+
+    auto operator<=>(const Shape &) const = default;
+};
 
 /**
- * The spf queue: queued requests ordered by (predicted remaining
- * seconds, arrival index), split into shapes. A shape groups the
- * jobs whose placement feasibility is the same function of capacity
- * (the port-or-plain path, the planned arch and cNodes), so when a
- * shape's head does not fit, none of its jobs fits either.
+ * The queue every policy schedules from: queued requests split into
+ * shapes, each a set ordered by (key, request index). The key is the
+ * predicted remaining seconds under spf and spf-preempt and the
+ * request index, i.e. arrival order, under fifo, backfill and gang.
+ * The heads of the non-empty shapes are kept in a map of their own,
+ * so the queue-wide head is O(1).
  */
-class SpfQueue
+class ShapeQueue
 {
   public:
-    using Entry = std::pair<double, size_t>; // (predicted s, request)
+    using Entry = std::pair<double, size_t>; // (key, request)
 
-    explicit SpfQueue(size_t num_requests) : shape_of_(num_requests) {}
+    explicit ShapeQueue(size_t num_requests) : shape_of_(num_requests) {}
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /** The queue-wide smallest entry; the queue must be non-empty. */
+    Entry front() const { return heads_.begin()->first; }
+
+    /** The shape queued request @p req belongs to. */
+    const Shape &shapeOf(size_t req) const { return shape_of_[req]->first; }
+
     void
-    push(const std::tuple<bool, int, int> &shape_key, Entry e)
+    push(const Shape &shape, Entry e)
     {
-        auto [it, fresh] = shape_ids_.try_emplace(shape_key,
-                                                  shapes_.size());
-        if (fresh)
-            shapes_.emplace_back();
-        shapes_[it->second].insert(e);
-        shape_of_[e.second] = it->second;
+        auto it = shapes_.try_emplace(shape).first;
+        std::set<Entry> &entries = it->second;
+        if (entries.empty() || e < *entries.begin()) {
+            if (!entries.empty())
+                heads_.erase(*entries.begin());
+            heads_.emplace(e, it);
+        }
+        entries.insert(e);
+        shape_of_[e.second] = it;
         ++size_;
     }
 
     void
     erase(Entry e)
     {
-        shapes_[shape_of_[e.second]].erase(e);
+        auto it = shape_of_[e.second];
+        std::set<Entry> &entries = it->second;
+        if (e == *entries.begin()) {
+            heads_.erase(e);
+            if (entries.size() > 1)
+                heads_.emplace(*std::next(entries.begin()), it);
+        }
+        entries.erase(e);
         --size_;
     }
 
-    /** The queue-wide smallest entry; the queue must be non-empty. */
-    Entry
-    front() const
-    {
-        Entry best{kInf, std::numeric_limits<size_t>::max()};
-        for (const auto &shape : shapes_) {
-            if (!shape.empty())
-                best = std::min(best, *shape.begin());
-        }
-        return best;
-    }
-
     /**
-     * One pass in queue order: offer each shape's head to @p place
-     * (true = placed and dequeued), smallest head first. A head that
-     * does not fit drops its whole shape for the rest of the pass;
-     * capacity only shrinks during a pass, so it could not fit later
-     * either.
+     * One pass in queue order: offer entries to @p place (true =
+     * placed, and the entry is dequeued), smallest first. Shapes for
+     * which @p skip_shape holds are left out, and so are entries (by
+     * request) for which @p skip_entry holds: those are walked past
+     * inside their shape before its first remaining entry goes on the
+     * heap. An offered entry that does not fit drops its whole shape
+     * for the rest of the pass; capacity only shrinks during a pass,
+     * so no later entry of the shape could fit either.
      */
-    template <typename Place>
+    template <typename SkipShape, typename SkipEntry, typename Place>
     void
-    pass(Place &&place)
+    pass(SkipShape &&skip_shape, SkipEntry &&skip_entry, Place &&place)
     {
-        using Head = std::pair<Entry, size_t>; // (head, shape)
-        std::priority_queue<Head, std::vector<Head>, std::greater<>>
-            heads;
-        for (size_t shape = 0; shape < shapes_.size(); ++shape) {
-            if (!shapes_[shape].empty())
-                heads.push({*shapes_[shape].begin(), shape});
+        std::priority_queue<Entry, std::vector<Entry>, std::greater<>>
+            heap;
+        auto offerFrom = [&](const std::set<Entry> &entries,
+                             std::set<Entry>::const_iterator it) {
+            for (; it != entries.end(); ++it) {
+                if (!skip_entry(it->second)) {
+                    heap.push(*it);
+                    return;
+                }
+            }
+        };
+        for (const auto &[head, shape] : heads_) {
+            if (!skip_shape(shape->first))
+                offerFrom(shape->second, shape->second.begin());
         }
-        while (!heads.empty()) {
-            auto [e, shape] = heads.top();
-            heads.pop();
+        while (!heap.empty()) {
+            Entry e = heap.top();
+            heap.pop();
             if (!place(e.second))
                 continue;
             erase(e);
-            if (!shapes_[shape].empty())
-                heads.push({*shapes_[shape].begin(), shape});
+            const std::set<Entry> &entries = shape_of_[e.second]->second;
+            offerFrom(entries, entries.upper_bound(e));
         }
     }
 
   private:
-    std::map<std::tuple<bool, int, int>, size_t> shape_ids_;
-    std::vector<std::set<Entry>> shapes_;
+    using Shapes = std::map<Shape, std::set<Entry>>;
+    Shapes shapes_;
+    /** The head entry of every non-empty shape, and that shape. */
+    std::map<Entry, Shapes::iterator> heads_;
     /** Shape of each queued request, by request index. */
-    std::vector<size_t> shape_of_;
+    std::vector<Shapes::iterator> shape_of_;
     size_t size_ = 0;
 };
 
@@ -569,13 +597,12 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
 
     ClusterOutcome out;
     out.jobs.reserve(requests.size());
-    // Queued requests (indices into requests): arrival order for fifo,
-    // backfill and gang, the shape-split index for spf and
-    // spf-preempt.
+    // Queued requests (indices into requests), keyed by predicted
+    // remaining seconds under spf and spf-preempt and by arrival under
+    // the others, which never re-queue a job.
     const bool spf_order = cfg_.policy == Policy::Spf ||
                            cfg_.policy == Policy::SpfPreempt;
-    std::deque<size_t> pending;
-    SpfQueue spf_queue(requests.size());
+    ShapeQueue queue(requests.size());
     size_t arrival = 0;
     double now = 0.0;
     double gpu_seconds = 0.0;
@@ -588,8 +615,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     auto sampleLevels = [&] {
         if (!tl)
             return;
-        tl_pending->set(
-            static_cast<double>(pending.size() + spf_queue.size()));
+        tl_pending->set(static_cast<double>(queue.size()));
         tl_running->set(static_cast<double>(running));
         tl_free_gpus->set(static_cast<double>(cap.total_free));
     };
@@ -603,31 +629,29 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         });
 
     // Predicted run seconds per request (policy ordering input): the
-    // configured predictor, else the analytical prediction itself.
+    // analytical prediction, replaced by the configured predictor's
+    // under the policies that read predictions.
     const bool wants_predictions =
         predictionDriven(cfg_.policy) ||
         (cfg_.policy == Policy::Backfill && cfg_.predictor);
-    std::vector<double> pred_run;
-    std::vector<double> pred_per_step;
-    if (wants_predictions) {
+    std::vector<double> pred_run(requests.size());
+    std::vector<double> pred_per_step(requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        pred_run[i] = submitted_step[i] *
+                      static_cast<double>(requests[i].num_steps);
+    }
+    if (wants_predictions && cfg_.predictor) {
         pred_run = runtime::parallelMap<double>(
             runtime::globalPool(), requests.size(), [&](size_t i) {
-                double model_run =
-                    submitted_step[i] *
-                    static_cast<double>(requests[i].num_steps);
-                if (!cfg_.predictor)
-                    return model_run;
                 double p = cfg_.predictor(requests[i].job,
                                           requests[i].num_steps,
-                                          model_run);
-                return std::isfinite(p) && p >= 0.0 ? p : model_run;
+                                          pred_run[i]);
+                return std::isfinite(p) && p >= 0.0 ? p : pred_run[i];
             });
-        pred_per_step.resize(requests.size());
-        for (size_t i = 0; i < requests.size(); ++i) {
-            pred_per_step[i] =
-                pred_run[i] /
-                static_cast<double>(requests[i].num_steps);
-        }
+    }
+    for (size_t i = 0; i < requests.size(); ++i) {
+        pred_per_step[i] =
+            pred_run[i] / static_cast<double>(requests[i].num_steps);
     }
     // Predicted *remaining* run seconds; shrinks when a preempted
     // job is re-queued with only its unfinished steps.
@@ -653,21 +677,39 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                job.features.weightBytes() <= cfg_.gpu_memory_bytes;
     };
 
-    // Queue a request under the policy's order. Its spf shape is what
+    // Queue a request under the policy's key. Its shape is what
     // tryPlace() searches for: a restart's pinned plan, else the job
     // as submitted plus whether it may port. Pinned and unpinned
     // plans of one arch and size search identically.
     auto enqueue = [&](size_t req_index) {
-        if (!spf_order) {
-            pending.push_back(req_index);
-            return;
-        }
         const TrainingJob &job = pinned_exec[req_index]
                                      ? *pinned_exec[req_index]
                                      : requests[req_index].job;
         bool port = !pinned_exec[req_index] && portable(job);
-        spf_queue.push({port, static_cast<int>(job.arch), job.num_cnodes},
-                       {pred_remaining[req_index], req_index});
+        double key = spf_order ? pred_remaining[req_index]
+                               : static_cast<double>(req_index);
+        queue.push({port, static_cast<int>(job.arch), job.num_cnodes},
+                   {key, req_index});
+    };
+
+    // A job record's identity and the analytical prediction for the
+    // job as submitted, the fields every record shares.
+    auto submittedRecord = [&](size_t req_index) {
+        const JobRequest &req = requests[req_index];
+        obs::JobRecord rec;
+        rec.job_id = req.job.id;
+        rec.source = "clustersim";
+        rec.arch = workload::toString(req.job.arch);
+        rec.num_cnodes = req.job.num_cnodes;
+        rec.num_steps = req.num_steps;
+        rec.submit_s = req.submit_time;
+        core::TimeBreakdown pred = model_.breakdown(req.job);
+        rec.pred_td_s = pred.t_data;
+        rec.pred_tc_flops_s = pred.t_comp_flops;
+        rec.pred_tc_mem_s = pred.t_comp_mem;
+        rec.pred_tw_s = pred.t_weight;
+        rec.pred_step_s = pred.total();
+        return rec;
     };
 
     auto emitJobRecord = [&](size_t req_index, const JobOutcome &jo,
@@ -675,30 +717,18 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                              int server) {
         if (!cfg_.record_job_log || !obs::jobLogActive())
             return;
-        const JobRequest &req = requests[req_index];
-        obs::JobRecord rec;
-        rec.job_id = jo.job_id;
-        rec.source = "clustersim";
-        rec.arch = workload::toString(req.job.arch);
+        // Predicted = the job as submitted; simulated = the job as
+        // executed under its actual placement, so porting, generation
+        // slowdown and preemption effects become the recorded skew.
+        obs::JobRecord rec = submittedRecord(req_index);
         rec.executed_arch = workload::toString(executed.arch);
         rec.ported = jo.ported;
         rec.num_cnodes = executed.num_cnodes;
         rec.gpus = jo.gpus;
         rec.server = server;
-        rec.num_steps = req.num_steps;
         rec.placement_attempts = attempts[req_index];
-        rec.submit_s = jo.submit_time;
         rec.start_s = jo.start_time;
         rec.finish_s = jo.finish_time;
-        // Predicted = the job as submitted; simulated = the job as
-        // executed under its actual placement, so porting, generation
-        // slowdown and preemption effects become the recorded skew.
-        core::TimeBreakdown pred = model_.breakdown(req.job);
-        rec.pred_td_s = pred.t_data;
-        rec.pred_tc_flops_s = pred.t_comp_flops;
-        rec.pred_tc_mem_s = pred.t_comp_mem;
-        rec.pred_tw_s = pred.t_weight;
-        rec.pred_step_s = pred.total();
         core::TimeBreakdown sim = model_.breakdown(executed);
         rec.sim_td_s = sim.t_data;
         rec.sim_tc_s = sim.compute();
@@ -706,6 +736,10 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         rec.sim_step_s = jo.step_s;
         obs::recordJob(std::move(rec));
     };
+
+    // When the last placed job frees its GPUs in the reservation
+    // replay (+inf: never).
+    double placed_release = kInf;
 
     // Attempt to place one request; on success records/updates the
     // outcome and consumes capacity.
@@ -766,11 +800,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
             jo.gpus = gpus;
             jo.step_s = step;
             jo.num_steps = req.num_steps;
-            jo.predicted_run_s = wants_predictions
-                                     ? pred_run[req_index]
-                                     : submitted_step[req_index] *
-                                           static_cast<double>(
-                                               req.num_steps);
+            jo.predicted_run_s = pred_run[req_index];
             oi = out.jobs.size();
             out_index[req_index] = oi;
             out.jobs.push_back(std::move(jo));
@@ -801,11 +831,9 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
             sl.seg_start = now;
             sl.step_s = step;
             sl.steps_left = steps_left;
-            sl.pred_finish =
-                wants_predictions
-                    ? now + pred_per_step[req_index] *
-                                static_cast<double>(steps_left)
-                    : now + runtime;
+            sl.pred_finish = now + pred_per_step[req_index] *
+                                       static_cast<double>(steps_left);
+            placed_release = sl.pred_finish;
             sl.gpus = gpus;
             sl.active = true;
             ++running;
@@ -818,6 +846,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
             // GPUs forever, exactly as the old priority-queue loop
             // (which broke out before ever popping it) behaved. The
             // outcome is final, so the record is emitted here.
+            placed_release = kInf;
             emitJobRecord(req_index, out.jobs[oi], executed,
                           alloc.empty() ? -1 : alloc.front().first);
         }
@@ -853,16 +882,21 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         return kInf;
     };
 
+    // Steps a running slot has completed by `now`, leaving at least
+    // one step to redo.
+    auto completedSteps = [&](const Slot &sl) {
+        auto done = static_cast<int64_t>(
+            std::floor((now - sl.seg_start) / sl.step_s + 1e-9));
+        return std::clamp<int64_t>(done, 0, sl.steps_left - 1);
+    };
+
     // Preempt the running job in @p slot at `now`, re-queueing its
     // remaining steps. Work conservation: completed steps stay
     // completed; only the partial step in flight is redone.
     auto preempt = [&](size_t slot) {
         Slot &sl = slots[slot];
         assert(sl.active);
-        auto done = static_cast<int64_t>(
-            std::floor((now - sl.seg_start) / sl.step_s + 1e-9));
-        done = std::clamp<int64_t>(done, 0, sl.steps_left - 1);
-        int64_t left = sl.steps_left - done;
+        int64_t left = sl.steps_left - completedSteps(sl);
 
         // Return the unexecuted share of the GPU-seconds charged at
         // placement.
@@ -882,10 +916,8 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
             tl_preemptions->add();
 
         steps_remaining[sl.req] = left;
-        if (wants_predictions) {
-            pred_remaining[sl.req] =
-                pred_per_step[sl.req] * static_cast<double>(left);
-        }
+        pred_remaining[sl.req] =
+            pred_per_step[sl.req] * static_cast<double>(left);
         pinned_exec[sl.req] = sl.executed;
         enqueue(sl.req);
 
@@ -900,7 +932,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     // jobs with the longest predicted remaining time, one at a time,
     // while the imbalance is worth a restart. True once the head is
     // placed (and dequeued).
-    auto preemptFor = [&](SpfQueue::Entry head) -> bool {
+    auto preemptFor = [&](ShapeQueue::Entry head) -> bool {
         while (true) {
             size_t victim = static_cast<size_t>(-1);
             double victim_rem = -1.0;
@@ -912,11 +944,9 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                     cfg_.max_preemptions) {
                     continue;
                 }
-                auto done = static_cast<int64_t>(std::floor(
-                    (now - sl.seg_start) / sl.step_s + 1e-9));
-                done = std::clamp<int64_t>(done, 0, sl.steps_left - 1);
-                double rem = pred_per_step[sl.req] *
-                             static_cast<double>(sl.steps_left - done);
+                double rem =
+                    pred_per_step[sl.req] *
+                    static_cast<double>(sl.steps_left - completedSteps(sl));
                 if (rem > victim_rem ||
                     (rem == victim_rem &&
                      victim != static_cast<size_t>(-1) &&
@@ -931,7 +961,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
             }
             preempt(victim);
             if (tryPlace(head.second)) {
-                spf_queue.erase(head);
+                queue.erase(head);
                 return true;
             }
         }
@@ -939,87 +969,60 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
 
     // One scheduling pass over the queue at time `now`, under the
     // configured policy. Returns when no further job can start.
+    const bool reserving = !spf_order && wants_predictions; // EASY, gang
+    const bool gang = cfg_.policy == Policy::Gang;
+    auto never = [](const auto &) { return false; };
     auto schedulePass = [&] {
-        switch (cfg_.policy) {
-          case Policy::Fifo: {
-            while (!pending.empty() && tryPlace(pending.front()))
-                pending.pop_front();
-            break;
-          }
-          case Policy::Backfill: {
-            if (!cfg_.predictor) {
-                // Greedy skip-ahead (the original behavior): any
-                // fitting job starts, in queue order.
-                bool progress = true;
-                while (progress && !pending.empty()) {
-                    progress = false;
-                    for (auto it = pending.begin();
-                         it != pending.end(); ++it) {
-                        if (tryPlace(*it)) {
-                            pending.erase(it);
-                            progress = true;
-                            break;
-                        }
-                    }
-                }
-                break;
-            }
-            [[fallthrough]];
-          }
-          case Policy::Gang: {
-            // EASY: drain the head chain, then let later jobs start
-            // only when their predicted completion respects the
-            // head's reservation. Gang additionally restricts
-            // backfill to single-GPU jobs.
-            bool gang = cfg_.policy == Policy::Gang;
-            bool progress = true;
-            while (progress) {
-                progress = false;
-                while (!pending.empty() &&
-                       tryPlace(pending.front())) {
-                    pending.pop_front();
-                    progress = true;
-                }
-                if (pending.empty())
-                    break;
-                double t_res = reservationTime(pending.front());
-                for (auto it = std::next(pending.begin());
-                     it != pending.end(); ++it) {
-                    if (gang && requests[*it].job.num_cnodes > 1)
-                        continue;
-                    if (std::isfinite(t_res) &&
-                        now + pred_remaining[*it] > t_res) {
-                        continue;
-                    }
-                    if (tryPlace(*it)) {
-                        pending.erase(it);
-                        progress = true;
-                        break;
-                    }
-                }
-            }
-            break;
-          }
-          case Policy::Spf:
-          case Policy::SpfPreempt: {
-            // One pass places every job that fits, in queue order.
-            // Nothing fits afterwards, which is where spf-preempt may
-            // free capacity for the queue head; a head placed that way
-            // changes capacity, so another pass follows.
-            while (true) {
-                spf_queue.pass(tryPlace);
-                if (cfg_.policy != Policy::SpfPreempt ||
-                    spf_queue.empty() || !preemptFor(spf_queue.front())) {
-                    break;
-                }
-            }
-            break;
-          }
+        // 1. Fifo, backfill and gang start the queue head while it
+        // fits. Fifo stops behind a blocked head.
+        std::optional<Shape> blocked;
+        if (!spf_order) {
+            while (!queue.empty() && tryPlace(queue.front().second))
+                queue.erase(queue.front());
+            if (cfg_.policy == Policy::Fifo || queue.empty())
+                return;
+            blocked = queue.shapeOf(queue.front().second);
+        }
+        // 2. One pass places every other job that fits, in queue
+        // order. Backfill and gang skip the blocked head's shape, gang
+        // every multi-cNode shape, and EASY and gang every job
+        // predicted to run past the head's reservation t_res. A job
+        // started in the pass frees its GPUs in the reservation replay
+        // by t_res, so t_res holds (DESIGN.md Sec 13) -- except at an
+        // exact tie, where pred_per_step x steps can land an ulp past
+        // it, or for a job that never finishes. Then t_res may move
+        // and let a skipped job start, so the pass is dropped and a
+        // new one starts from a recomputed t_res, as the old rescan
+        // did.
+        for (bool moved = true; moved;) {
+            moved = false;
+            double t_res =
+                reserving ? reservationTime(queue.front().second) : kInf;
+            queue.pass(
+                [&](const Shape &shape) {
+                    return shape == blocked || (gang && shape.cnodes > 1);
+                },
+                [&](size_t r) {
+                    return reserving && now + pred_remaining[r] > t_res;
+                },
+                [&](size_t r) {
+                    if (moved || !tryPlace(r))
+                        return false;
+                    moved = !(placed_release <= t_res);
+                    return true;
+                });
+        }
+        // 3. Nothing fits now, which is where spf-preempt may free
+        // capacity for the queue head; a head placed that way changes
+        // capacity, so another pass follows.
+        while (cfg_.policy == Policy::SpfPreempt && !queue.empty() &&
+               preemptFor(queue.front())) {
+            queue.pass(never, never, tryPlace);
         }
     };
 
-    while (arrival < requests.size() || !pending.empty() ||
-           !spf_queue.empty() || eq.pending() > 0) {
+    while (arrival < requests.size() || !queue.empty() ||
+           eq.pending() > 0) {
         // Admit all submissions up to `now`, dropping jobs the
         // cluster can never host (e.g. more cNodes than NVLink
         // capacity). Admitting them would starve the queue forever
@@ -1037,25 +1040,11 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
                     tl_unplaceable->add();
                 obs::counter("clustersim.unplaceable_jobs").add();
                 if (cfg_.record_job_log && obs::jobLogActive()) {
-                    const JobRequest &req = requests[arrival];
-                    obs::JobRecord rec;
-                    rec.job_id = req.job.id;
-                    rec.source = "clustersim";
+                    obs::JobRecord rec = submittedRecord(arrival);
                     rec.status = "dropped";
-                    rec.arch = workload::toString(req.job.arch);
                     rec.executed_arch = rec.arch;
-                    rec.num_cnodes = req.job.num_cnodes;
-                    rec.num_steps = req.num_steps;
-                    rec.submit_s = req.submit_time;
-                    rec.start_s = req.submit_time;
-                    rec.finish_s = req.submit_time;
-                    core::TimeBreakdown pred =
-                        model_.breakdown(req.job);
-                    rec.pred_td_s = pred.t_data;
-                    rec.pred_tc_flops_s = pred.t_comp_flops;
-                    rec.pred_tc_mem_s = pred.t_comp_mem;
-                    rec.pred_tw_s = pred.t_weight;
-                    rec.pred_step_s = pred.total();
+                    rec.start_s = rec.submit_s;
+                    rec.finish_s = rec.submit_s;
                     obs::recordJob(std::move(rec));
                 }
             }
@@ -1100,8 +1089,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
     }
     // Every admitted job is placeable on an empty cluster, so the
     // queue always drains once the running set does.
-    assert(pending.empty() && spf_queue.empty() &&
-           "placeable job starved the queue");
+    assert(queue.empty() && "placeable job starved the queue");
 
     // Aggregate metrics.
     obs::counter("clustersim.jobs_scheduled").add(out.jobs.size());

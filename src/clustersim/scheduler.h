@@ -89,6 +89,12 @@ std::optional<Policy> policyFromString(const std::string &name);
 /** Every valid CLI policy spelling, for error messages. */
 const std::vector<std::string> &policyNames();
 
+/**
+ * True when @p p orders or gates its queue by predicted durations
+ * (spf, spf-preempt and gang), so it cannot run without predictions.
+ */
+bool predictionDriven(Policy p);
+
 /** Placement strategy across servers. */
 enum class PlacementStrategy
 {

@@ -71,7 +71,44 @@ class PolicyTest : public ::testing::Test
 {
   protected:
     PolicyTest() : model_(hw::paiCluster()) {}
+
+    /** 16 eight-GPU servers, half with NVLink, telemetry off. */
+    static SchedulerConfig
+    sixteenServers()
+    {
+        SchedulerConfig cfg;
+        cfg.num_servers = 16;
+        cfg.gpus_per_server = 8;
+        cfg.nvlink_fraction = 0.5;
+        cfg.record_job_log = false;
+        cfg.record_timeline = false;
+        return cfg;
+    }
+
+    /** A testkit stream of @p jobs that saturates sixteenServers(). */
+    std::vector<JobRequest>
+    testkitStream(int jobs)
+    {
+        testkit::SchedStreamOptions opt;
+        opt.num_jobs = jobs;
+        opt.jobs_per_hour = 2000.0;
+        return testkit::genRequests(gen_, 77, opt, 16);
+    }
+
+    /** clustersim.placement_attempts made by one run of @p reqs. */
+    double
+    attempts(const SchedulerConfig &cfg, std::vector<JobRequest> reqs)
+    {
+        obs::Counter &counter =
+            obs::counter("clustersim.placement_attempts");
+        uint64_t before = counter.value();
+        auto out = ClusterScheduler(cfg, model_).run(std::move(reqs));
+        EXPECT_GT(out.mean_wait, 0.0) << "stream must saturate";
+        return static_cast<double>(counter.value() - before);
+    }
+
     core::AnalyticalModel model_;
+    testkit::JobGenerator gen_;
 };
 
 TEST_F(PolicyTest, SpfStartsShortestPredictedFirst)
@@ -167,6 +204,43 @@ TEST_F(PolicyTest, GangOnlyBackfillsSingleGpuJobs)
     };
     auto easy = ClusterScheduler(easy_cfg, model_).run(reqs);
     EXPECT_DOUBLE_EQ(byId(easy, 3).start_time, 2.0);
+}
+
+TEST_F(PolicyTest, BackfillPastAnUlpTieMovesTheReservation)
+{
+    // The 8-GPU head is reserved for t_res = 1800 s, when the 4-GPU
+    // occupant is predicted to finish. tie is predicted at exactly
+    // 1800 s and may backfill, but its predicted finish
+    // (1800 / 7) * 7 lands one ulp past 1800: the head now also waits
+    // for tie's GPU, so t_res moves up by that ulp. late, queued
+    // before tie and predicted to finish at that very ulp, was outside
+    // the old reservation and fits the new one; the restart scan
+    // backfilled it at once, so the one-pass scheduler must too.
+    const double t_res = 1800.0;
+    const int64_t tie_steps = 7;
+    const double tie_finish =
+        t_res / static_cast<double>(tie_steps) *
+        static_cast<double>(tie_steps);
+    ASSERT_GT(tie_finish, t_res);
+
+    auto occupant = makeJob(1, ArchType::OneWorkerMultiGpu, 4);
+    auto head = makeJob(2, ArchType::AllReduceLocal, 8);
+    auto late = makeJob(3, ArchType::OneWorkerOneGpu, 1);
+    auto tie = makeJob(4, ArchType::OneWorkerOneGpu, 1);
+    std::vector<JobRequest> reqs{request(occupant, 0.0, 1),
+                                 request(head, 0.0, 100),
+                                 request(late, 0.0, 1),
+                                 request(tie, 0.0, tie_steps)};
+    for (Policy p : {Policy::Backfill, Policy::Gang}) {
+        SchedulerConfig cfg = oneServer();
+        cfg.policy = p;
+        cfg.predictor = [&](const TrainingJob &job, int64_t, double) {
+            return job.id == 3 ? tie_finish : t_res;
+        };
+        auto out = ClusterScheduler(cfg, model_).run(reqs);
+        EXPECT_DOUBLE_EQ(byId(out, 4).start_time, 0.0) << toString(p);
+        EXPECT_DOUBLE_EQ(byId(out, 3).start_time, 0.0) << toString(p);
+    }
 }
 
 TEST_F(PolicyTest, PreemptionRestartsFromLastCompletedStep)
@@ -322,31 +396,59 @@ TEST_F(PolicyTest, SpfPlacementAttemptsScaleNearLinearly)
     // attempts, so doubling the stream about quadruples them; one
     // pass per event charges each shape head once per pass, which
     // stays near-linear.
-    obs::Counter &attempts =
-        obs::counter("clustersim.placement_attempts");
-    testkit::JobGenerator gen;
-    auto attemptsFor = [&](int jobs) {
-        testkit::SchedStreamOptions opt;
-        opt.num_jobs = jobs;
-        opt.jobs_per_hour = 2000.0;
-        SchedulerConfig cfg;
-        cfg.num_servers = 16;
-        cfg.gpus_per_server = 8;
-        cfg.nvlink_fraction = 0.5;
-        cfg.policy = Policy::Spf;
-        cfg.record_job_log = false;
-        cfg.record_timeline = false;
-        auto reqs = testkit::genRequests(gen, 77, opt, cfg.num_servers);
-        uint64_t before = attempts.value();
-        auto out = ClusterScheduler(cfg, model_).run(reqs);
-        EXPECT_GT(out.mean_wait, 0.0) << "stream must saturate";
-        return static_cast<double>(attempts.value() - before);
-    };
-    double n = attemptsFor(1500);
-    double n2 = attemptsFor(3000);
+    SchedulerConfig cfg = sixteenServers();
+    cfg.policy = Policy::Spf;
+    double n = attempts(cfg, testkitStream(1500));
+    double n2 = attempts(cfg, testkitStream(3000));
     ASSERT_GT(n, 0.0);
     RecordProperty("attempts_ratio", std::to_string(n2 / n));
     EXPECT_LT(n2 / n, 2.5) << n << " -> " << n2 << " attempts";
+}
+
+TEST_F(PolicyTest, EveryPolicyPlacementAttemptsScaleNearLinearly)
+{
+    // The same guard for the other policies. The old scans of greedy
+    // backfill, EASY and gang restarted after every placement: on
+    // these streams doubling the jobs multiplied their attempts by
+    // about 4.1, 5.0 and 5.3. Gang backfills single-GPU jobs only, so
+    // its stream is the CLI's, whose distributed jobs back up behind
+    // a blocked head.
+    auto cliStream = [](int jobs) {
+        trace::SyntheticClusterGenerator gen(7);
+        std::vector<TrainingJob> trace = gen.generate(jobs);
+        for (auto &j : trace)
+            j.num_cnodes = std::min(j.num_cnodes, 16);
+        return poissonRequests(trace, 1000.0, 2000.0, 1.2, 20181201);
+    };
+    struct Case
+    {
+        const char *name;
+        Policy policy;
+        bool predicted;
+    };
+    for (Case c : {Case{"fifo", Policy::Fifo, false},
+                   Case{"backfill", Policy::Backfill, false},
+                   Case{"backfill-easy", Policy::Backfill, true},
+                   Case{"gang", Policy::Gang, false},
+                   Case{"spf-preempt", Policy::SpfPreempt, false}}) {
+        SchedulerConfig cfg = sixteenServers();
+        cfg.policy = c.policy;
+        if (c.predicted) {
+            cfg.predictor = [](const TrainingJob &, int64_t,
+                               double model_run_s) { return model_run_s; };
+        }
+        auto stream = [&](int jobs) {
+            return c.policy == Policy::Gang ? cliStream(jobs)
+                                            : testkitStream(jobs);
+        };
+        double n = attempts(cfg, stream(1500));
+        double n2 = attempts(cfg, stream(3000));
+        ASSERT_GT(n, 0.0) << c.name;
+        RecordProperty(std::string(c.name) + "_attempts_ratio",
+                       std::to_string(n2 / n));
+        EXPECT_LT(n2 / n, 3.0)
+            << c.name << ": " << n << " -> " << n2 << " attempts";
+    }
 }
 
 TEST_F(PolicyTest, PolicyNamesRoundTrip)
