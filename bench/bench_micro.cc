@@ -22,7 +22,8 @@
  * against the arena/ladder EventQueue on an 8M-event drain (recorded
  * in BENCH_sim_engine.json). A sixth serving section records
  * simulated-requests-per-second of the seed single-server simulator
- * against the fleet event loop (BENCH_serving.json). A seventh
+ * against the fleet event loop, and of fleets from 16 to 1024
+ * servers under each routing policy (BENCH_serving.json). A seventh
  * characterize-queries section times the Fig 5-8 query set over a
  * paib-mapped 1M-job trace (BENCH_characterize.json).
  */
@@ -947,12 +948,16 @@ runSimEngineSection()
 
 /**
  * Serving section: simulated-requests-per-wall-second of the seed
- * single-server simulator against the fleet event loop at 1 and 4
- * servers and both batching disciplines, over the same ResNet50
- * stream (the contents of BENCH_serving.json). The fleet1_greedy row
- * doubles as the overhead budget of the generalized loop (routing,
- * records, obs histogram) against the seed's array walk. Request
- * count defaults to 200k; override with
+ * single-server simulator against the fleet event loop over the same
+ * ResNet50 stream (the contents of BENCH_serving.json). The
+ * fleet1_greedy row doubles as the overhead budget of the generalized
+ * loop (routing, records, obs histogram) against the seed's array
+ * walk. The scale rows hold the per-server load at the fleet1 rate
+ * (800 qps) from 16 to 1024 servers under each routing policy, and
+ * under p2c with a timeline recording, so a per-request cost that
+ * grows with the fleet shows as a falling rate. Every row runs at 1
+ * and 4 threads (the loop is single-threaded; the rows show it).
+ * Request count defaults to 200k; override with
  * PAICHAR_SERVE_BENCH_REQUESTS for quick runs.
  */
 void
@@ -960,7 +965,8 @@ runServingSection()
 {
     auto requests = static_cast<int64_t>(
         envCount("PAICHAR_SERVE_BENCH_REQUESTS", 200000));
-    constexpr int kReps = 3;
+    constexpr int kReps = 5;
+    constexpr double kQpsPerServer = 800.0;
     auto w = inference::InferenceWorkload::fromTraining(
         workload::ModelZoo::resnet50());
 
@@ -969,78 +975,96 @@ runServingSection()
 
     struct Row
     {
-        const char *sim;
+        std::string sim;
+        int servers;
         std::function<int64_t()> body; // returns completions
     };
+    auto fleet = [&](int servers, inference::Routing routing,
+                     inference::Batching batching, bool timeline) {
+        return [&w, requests, servers, routing, batching, timeline] {
+            inference::FleetConfig cfg;
+            cfg.num_servers = servers;
+            cfg.routing = routing;
+            cfg.batching = batching;
+            stats::ArrivalConfig a;
+            a.qps = kQpsPerServer * servers;
+            // About 1000 arrivals per window at every fleet size, so
+            // the windows' quantile sorts cost the same per request.
+            if (timeline)
+                obs::startTimeline(1000.0 / a.qps);
+            int64_t done = inference::FleetSimulator(cfg)
+                               .run({{w, a}}, requests, 7)
+                               .completed;
+            if (timeline)
+                obs::stopTimeline();
+            return done;
+        };
+    };
+    using inference::Batching;
+    using inference::Routing;
     std::vector<Row> rows = {
-        {"seed_single",
+        {"seed_single", 1,
          [&] {
              inference::ServingSimulator sim;
-             return sim.run(w, 800.0, requests, 7).requests;
+             return sim.run(w, kQpsPerServer, requests, 7).requests;
          }},
-        {"fleet1_greedy",
-         [&] {
-             inference::FleetConfig cfg;
-             stats::ArrivalConfig a;
-             a.qps = 800.0;
-             return inference::FleetSimulator(cfg)
-                 .run({{w, a}}, requests, 7)
-                 .completed;
-         }},
-        {"fleet4_greedy",
-         [&] {
-             inference::FleetConfig cfg;
-             cfg.num_servers = 4;
-             cfg.routing = inference::Routing::PowerOfTwo;
-             stats::ArrivalConfig a;
-             a.qps = 3200.0;
-             return inference::FleetSimulator(cfg)
-                 .run({{w, a}}, requests, 7)
-                 .completed;
-         }},
-        {"fleet4_continuous",
-         [&] {
-             inference::FleetConfig cfg;
-             cfg.num_servers = 4;
-             cfg.routing = inference::Routing::PowerOfTwo;
-             cfg.batching = inference::Batching::Continuous;
-             stats::ArrivalConfig a;
-             a.qps = 3200.0;
-             return inference::FleetSimulator(cfg)
-                 .run({{w, a}}, requests, 7)
-                 .completed;
-         }},
+        {"fleet1_greedy", 1,
+         fleet(1, Routing::RoundRobin, Batching::Greedy, false)},
+        {"fleet4_greedy", 4,
+         fleet(4, Routing::PowerOfTwo, Batching::Greedy, false)},
+        {"fleet4_continuous", 4,
+         fleet(4, Routing::PowerOfTwo, Batching::Continuous, false)},
     };
-
-    double seed_rate = 0.0;
-    for (const Row &row : rows) {
-        double best = 0.0;
-        for (int rep = 0; rep < kReps; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            int64_t done = row.body();
-            auto t1 = std::chrono::steady_clock::now();
-            if (done != requests) {
-                std::fprintf(stderr,
-                             "serving %s: completed %lld of %lld\n",
-                             row.sim,
-                             static_cast<long long>(done),
-                             static_cast<long long>(requests));
-                std::exit(1);
-            }
-            double sec =
-                std::chrono::duration<double>(t1 - t0).count();
-            double rate = static_cast<double>(requests) / sec;
-            best = std::max(best, rate);
+    for (Routing routing : {Routing::RoundRobin, Routing::LeastQueue,
+                            Routing::PowerOfTwo}) {
+        for (int servers : {16, 128, 1024}) {
+            rows.push_back({std::string("scale_") +
+                                inference::toString(routing),
+                            servers,
+                            fleet(servers, routing, Batching::Greedy,
+                                  false)});
         }
-        if (row.sim == std::string("seed_single"))
-            seed_rate = best;
-        std::printf(
-            "{\"bench\":\"serving\",\"sim\":\"%s\","
-            "\"requests\":%lld,\"requests_per_s\":%.0f,"
-            "\"relative_to_seed\":%.2f}\n",
-            row.sim, static_cast<long long>(requests), best,
-            seed_rate > 0.0 ? best / seed_rate : 0.0);
     }
+    for (int servers : {16, 128, 1024}) {
+        rows.push_back({"scale_p2c_timeline", servers,
+                        fleet(servers, Routing::PowerOfTwo,
+                              Batching::Greedy, true)});
+    }
+
+    for (int threads : {1, 4}) {
+        runtime::setThreadCount(threads);
+        double seed_rate = 0.0;
+        for (const Row &row : rows) {
+            double best = 0.0;
+            for (int rep = 0; rep < kReps; ++rep) {
+                auto t0 = std::chrono::steady_clock::now();
+                int64_t done = row.body();
+                auto t1 = std::chrono::steady_clock::now();
+                if (done != requests) {
+                    std::fprintf(stderr,
+                                 "serving %s: completed %lld of %lld\n",
+                                 row.sim.c_str(),
+                                 static_cast<long long>(done),
+                                 static_cast<long long>(requests));
+                    std::exit(1);
+                }
+                double sec =
+                    std::chrono::duration<double>(t1 - t0).count();
+                best = std::max(best,
+                                static_cast<double>(requests) / sec);
+            }
+            if (row.sim == "seed_single")
+                seed_rate = best;
+            std::printf(
+                "{\"bench\":\"serving\",\"sim\":\"%s\","
+                "\"servers\":%d,\"threads\":%d,\"requests\":%lld,"
+                "\"requests_per_s\":%.0f,\"relative_to_seed\":%.2f}\n",
+                row.sim.c_str(), row.servers, threads,
+                static_cast<long long>(requests), best,
+                seed_rate > 0.0 ? best / seed_rate : 0.0);
+        }
+    }
+    runtime::setThreadCount(0);
     std::printf("\n");
 }
 

@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "inference/fleet_index.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
 #include "stats/cdf.h"
@@ -38,7 +39,6 @@ struct Server
     State state = State::Up;
     std::deque<int64_t> queue; // waiting request ids
     bool busy = false;
-    double completion = kInf;      // valid while busy
     double launch_start = 0.0;     // valid while busy
     std::vector<int64_t> in_flight; // ids of the running launch
     // Continuous batching: items left in the current amortization
@@ -276,17 +276,38 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
     uint64_t rr_counter = 0;
     double next_tick = as.enabled ? as.check_interval : kInf;
 
-    auto upServers = [&](std::vector<size_t> &out) {
-        out.clear();
+    // Indexed fleet state, so no event scans the fleet: busy servers
+    // in a completion heap (its size is the busy count), the Up
+    // servers in index order (rebuilt only when a provision or drain
+    // changes a state), least-queue's (load, index) tree over the Up
+    // servers, and running queued counts for the autoscaler and the
+    // timeline.
+    detail::CompletionHeap completions;
+    std::vector<size_t> up;
+    auto rebuildUp = [&] {
+        up.clear();
         for (size_t i = 0; i < servers.size(); ++i) {
             if (servers[i].state == Server::State::Up)
-                out.push_back(i);
+                up.push_back(i);
         }
     };
-    std::vector<size_t> up; // scratch, reused per routing decision
+    rebuildUp();
+    size_t queued_all = 0; // every server's queue
+    size_t queued_up = 0;  // the Up servers' queues
 
     auto load = [&](const Server &s) {
         return s.queue.size() + s.in_flight.size();
+    };
+    const bool least_queue = cfg_.routing == Routing::LeastQueue;
+    detail::LeastLoadTree least_load;
+    if (least_queue) {
+        least_load.resize(servers.size());
+        for (size_t i : up)
+            least_load.set(i, 0);
+    }
+    auto loadChanged = [&](size_t si) {
+        if (least_queue && servers[si].state == Server::State::Up)
+            least_load.set(si, load(servers[si]));
     };
 
     const hw::GpuSpec &gpu = cfg_.server.gpu;
@@ -332,15 +353,19 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             --s.window_left;
             svc += w.itemTime(gpu) + w.inputTime(1, pcie);
         }
+        // in_flight was empty: it holds exactly what left the queue.
+        size_t taken = s.in_flight.size();
+        queued_all -= taken;
+        if (s.state == Server::State::Up)
+            queued_up -= taken;
         s.busy = true;
         s.launch_start = t;
-        s.completion = t + svc;
         s.busy_time += svc;
+        completions.push({t + svc, si});
     };
 
-    auto finishWork = [&](size_t si) {
+    auto finishWork = [&](size_t si, double t) {
         Server &s = servers[si];
-        double t = s.completion;
         int batch = static_cast<int>(s.in_flight.size());
         for (int64_t id : s.in_flight) {
             double lat =
@@ -369,7 +394,7 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             tl_completions->add(static_cast<double>(batch));
         s.in_flight.clear();
         s.busy = false;
-        s.completion = kInf;
+        loadChanged(si);
         last_end = t;
         if (!s.queue.empty()) {
             startWork(si, t);
@@ -379,31 +404,17 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
         }
     };
 
-    auto anyBusy = [&] {
-        for (const Server &s : servers) {
-            if (s.busy)
-                return true;
-        }
-        return false;
-    };
-
     // Post-event level sampling: last-set-wins within a window, so
     // each closed window reports the fleet state as of its final
     // event — piecewise-constant sampling of size and backlog.
     auto sampleFleetLevels = [&] {
         if (!tl)
             return;
-        double up_now = 0.0, queued = 0.0;
-        for (const Server &s : servers) {
-            if (s.state == Server::State::Up)
-                up_now += 1.0;
-            queued += static_cast<double>(s.queue.size());
-        }
-        tl_up_lvl->set(up_now);
-        tl_queued_lvl->set(queued);
+        tl_up_lvl->set(static_cast<double>(up.size()));
+        tl_queued_lvl->set(static_cast<double>(queued_all));
     };
 
-    while (next_arrival < arrivals.size() || anyBusy()) {
+    while (next_arrival < arrivals.size() || !completions.empty()) {
         // Select the next event by (time, kind, server).
         double ev_time = kInf;
         int ev_kind = kTick;
@@ -421,15 +432,15 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 ev_kind = kArrival;
             }
         }
-        for (size_t i = 0; i < servers.size(); ++i) {
-            if (!servers[i].busy)
-                continue;
-            double t = servers[i].completion;
+        if (!completions.empty()) {
+            // The heap's (time, server) order is the scan order among
+            // completions: the earliest, then the lowest server.
+            double t = completions.top().time;
             if (t < ev_time ||
                 (t == ev_time && kCompletion < ev_kind)) {
                 ev_time = t;
                 ev_kind = kCompletion;
-                ev_server = i;
+                ev_server = completions.top().server;
             }
         }
         if (as.enabled && next_tick < ev_time) {
@@ -448,11 +459,10 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             Server &s = servers[ev_server];
             s.state = Server::State::Up;
             s.up_since = ev_time;
-            int up_now = 0;
-            for (const Server &sv : servers)
-                up_now += sv.state == Server::State::Up;
-            result.peak_servers =
-                std::max(result.peak_servers, up_now);
+            rebuildUp();
+            loadChanged(ev_server);
+            result.peak_servers = std::max(
+                result.peak_servers, static_cast<int>(up.size()));
             break;
         }
 
@@ -461,7 +471,6 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
             ++next_arrival;
             if (tl_arrivals)
                 tl_arrivals->add();
-            upServers(up);
             size_t chosen = up.front();
             switch (cfg_.routing) {
             case Routing::RoundRobin:
@@ -470,10 +479,9 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 ++rr_counter;
                 break;
             case Routing::LeastQueue:
-                for (size_t c : up) {
-                    if (load(servers[c]) < load(servers[chosen]))
-                        chosen = c;
-                }
+                // Lowest index among the least loaded, as a scan of
+                // `up` in index order would pick.
+                chosen = least_load.argmin();
                 break;
             case Routing::PowerOfTwo: {
                 if (up.size() > 1) {
@@ -515,31 +523,24 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 break;
             }
             s.queue.push_back(id);
+            ++queued_all;
+            ++queued_up;
+            loadChanged(chosen);
             if (!s.busy)
                 startWork(chosen, ev_time);
             break;
         }
 
         case kCompletion:
-            finishWork(ev_server);
+            completions.pop();
+            finishWork(ev_server, ev_time);
             break;
 
         case kTick: {
             next_tick += as.check_interval;
-            int up_now = 0;
-            size_t queued = 0;
-            size_t drain_candidate = 0;
-            bool have_candidate = false;
-            for (size_t i = 0; i < servers.size(); ++i) {
-                if (servers[i].state != Server::State::Up)
-                    continue;
-                ++up_now;
-                queued += servers[i].queue.size();
-                drain_candidate = i; // highest Up index wins
-                have_candidate = true;
-            }
-            if (up_now == 0)
+            if (up.empty())
                 break;
+            int up_now = static_cast<int>(up.size());
             bool scale_up = false, scale_down = false;
             if (slo_mode) {
                 // React to the trailing window's p99 vs the SLO.
@@ -558,7 +559,7 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 slo_window.clear();
             } else {
                 double depth =
-                    static_cast<double>(queued) / up_now;
+                    static_cast<double>(queued_up) / up_now;
                 scale_up = depth > as.scale_up_depth;
                 scale_down = depth < as.scale_down_depth;
             }
@@ -567,8 +568,8 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                     as.max_servers) {
                 servers.emplace_back();
                 servers.back().state = Server::State::Provisioning;
-                servers.back().busy = false;
-                servers.back().completion = kInf;
+                if (least_queue)
+                    least_load.resize(servers.size());
                 provisions.emplace_back(
                     ev_time + as.provision_lag,
                     servers.size() - 1);
@@ -576,15 +577,20 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 if (tl_scale)
                     tl_scale->add();
             } else if (scale_down &&
-                       up_now > std::max(as.min_servers, 1) &&
-                       have_candidate) {
-                Server &s = servers[drain_candidate];
+                       up_now > std::max(as.min_servers, 1)) {
+                // Drain the highest-index Up server.
+                size_t victim = up.back();
+                Server &s = servers[victim];
                 if (!s.busy && s.queue.empty()) {
                     s.state = Server::State::Down;
                     s.uptime += ev_time - s.up_since;
                 } else {
                     s.state = Server::State::Draining;
                 }
+                queued_up -= s.queue.size();
+                rebuildUp();
+                if (least_queue)
+                    least_load.remove(victim);
                 ++result.scale_downs;
                 if (tl_scale)
                     tl_scale->add();

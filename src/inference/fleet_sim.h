@@ -35,6 +35,14 @@
  * ServingSimulator byte-for-byte (pinned by the testkit fleet
  * oracle).
  *
+ * Cost: O(log servers) per event. No event scans the fleet: the next
+ * completion comes off a (completion, server) min-heap of the busy
+ * servers, least-queue routing reads a (load, index) min tree over the
+ * Up servers, round-robin and p2c index a list of the Up servers that
+ * only a provision or a drain rebuilds, and the autoscaler and the
+ * timeline read running up/queued counts (fleet_index.h). Ties break
+ * toward the lower server index, as the scans they replaced did.
+ *
  * Per-request latencies also flow into the obs histogram registry
  * (`inference.fleet.latency_us`), so p50/p99/p999 appear in
  * --metrics / OpenMetrics output for free.

@@ -122,23 +122,6 @@ visitMetrics(
     }
 }
 
-int
-Histogram::bucketOf(double v)
-{
-    if (!(v > 1.0)) // <= 1, negative, NaN
-        return 0;
-    if (v >= 0x1p62)
-        return kBuckets - 1;
-    // Bucket i covers (2^(i-1), 2^i]: ceil(log2(v)) for v > 1.
-    auto u = static_cast<uint64_t>(std::ceil(v));
-    int b = 64 - std::countl_zero(u - 1);
-    // Integer ceil over-reaches for non-integral v just below a
-    // power of two; the invariant check below is branch-predictable.
-    while (b > 1 && v <= std::ldexp(1.0, b - 1))
-        --b;
-    return b < kBuckets ? b : kBuckets - 1;
-}
-
 void
 Histogram::atomicAddDouble(std::atomic<uint64_t> &bits, double d)
 {

@@ -241,10 +241,27 @@ class Histogram
     /** Inclusive upper bound of bucket @p i: 2^i (1.0 for i = 0). */
     static double bucketUpperBound(int i);
 
+    /**
+     * Bucket of @p v, read off its bits: v in [2^e, 2^(e+1)) with a
+     * zero mantissa is exactly 2^e (bucket e), otherwise it lies
+     * inside (2^e, 2^(e+1)] (bucket e + 1). Everything <= 1 (and NaN)
+     * is bucket 0; everything >= 2^62 (and +infinity) the top one.
+     */
+    static int
+    bucketOf(double v)
+    {
+        if (!(v > 1.0)) // <= 1, negative, NaN
+            return 0;
+        if (v >= 0x1p62)
+            return kBuckets - 1;
+        auto bits = std::bit_cast<uint64_t>(v);
+        int e = static_cast<int>(bits >> 52) - 1023; // v > 1: sign 0
+        return e + ((bits & ((uint64_t{1} << 52) - 1)) != 0);
+    }
+
     void reset();
 
   private:
-    static int bucketOf(double v);
     static void atomicAddDouble(std::atomic<uint64_t> &bits, double d);
     static void atomicMaxDouble(std::atomic<uint64_t> &bits, double d);
 
