@@ -10,13 +10,13 @@
 #include <cstdio>
 
 #include "common.h"
-#include "inference/serving_sim.h"
+#include "inference/fleet_sim.h"
 #include "stats/table.h"
 
 using namespace paichar;
+using inference::FleetConfig;
+using inference::FleetSimulator;
 using inference::InferenceWorkload;
-using inference::ServingConfig;
-using inference::ServingSimulator;
 
 int
 main()
@@ -32,11 +32,10 @@ main()
          {workload::ModelZoo::resnet50, workload::ModelZoo::bert,
           workload::ModelZoo::multiInterests}) {
         auto w = InferenceWorkload::fromTraining(maker());
-        ServingSimulator sim;
+        FleetConfig cfg; // one server, greedy batching
         double solo =
-            w.serviceTime(1, sim.config().server.gpu,
-                          sim.config().launch_overhead) +
-            w.inputTime(1, sim.config().server.pcie_bandwidth);
+            w.serviceTime(1, cfg.server.gpu, cfg.launch_overhead) +
+            w.inputTime(1, cfg.server.pcie_bandwidth);
         std::printf("--- %s (solo service %s) ---\n", w.name.c_str(),
                     stats::fmtSeconds(solo).c_str());
 
@@ -44,7 +43,9 @@ main()
                         "GPU util", "avg batch", "state"});
         for (double frac : {0.2, 0.5, 0.8, 1.1, 1.5}) {
             double qps = frac / solo;
-            auto r = sim.run(w, qps, reqs, seed);
+            stats::ArrivalConfig arrival;
+            arrival.qps = qps;
+            auto r = FleetSimulator(cfg).run({{w, arrival}}, reqs, seed);
             t.addRow({stats::fmt(qps, 0) + " qps",
                       stats::fmtSeconds(r.p50_latency),
                       stats::fmtSeconds(r.p95_latency),
@@ -59,10 +60,9 @@ main()
         stats::Table bt({"max batch", "max QPS under p99 <= " +
                                           stats::fmtSeconds(slo)});
         for (int mb : {1, 4, 8, 16}) {
-            ServingConfig cfg;
             cfg.max_batch = mb;
-            double q = ServingSimulator(cfg).maxQpsUnderSlo(
-                w, slo, 20.0 / solo, seed);
+            double q = inference::maxQpsUnderSlo(cfg, w, slo, 20.0 / solo,
+                                                 reqs, seed);
             bt.addRow({std::to_string(mb), stats::fmt(q, 0)});
         }
         std::printf("%s\n", bt.render().c_str());

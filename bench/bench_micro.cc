@@ -21,9 +21,9 @@
  * sim-engine section compares the seed priority_queue event engine
  * against the arena/ladder EventQueue on an 8M-event drain (recorded
  * in BENCH_sim_engine.json). A sixth serving section records
- * simulated-requests-per-second of the seed single-server simulator
- * against the fleet event loop, and of fleets from 16 to 1024
- * servers under each routing policy (BENCH_serving.json). A seventh
+ * simulated-requests-per-second of the fleet event loop at 1 and 4
+ * servers, and of fleets from 16 to 1024 servers under each routing
+ * policy (BENCH_serving.json). A seventh
  * characterize-queries section times the Fig 5-8 query set over a
  * paib-mapped 1M-job trace (BENCH_characterize.json).
  */
@@ -52,7 +52,6 @@
 #include "core/projection.h"
 #include "inference/fleet_sim.h"
 #include "inference/inference_workload.h"
-#include "inference/serving_sim.h"
 #include "obs/job_log.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
@@ -554,62 +553,65 @@ runObsInstrumentationOverheadSection()
     constexpr int kReps = 5;
     int threads = runtime::threadCount();
 
-    // --- serving-sim: span + counters added in src/inference ---
+    // --- serving: the 1-server fleet's span, counters and latency
+    // histogram (src/inference) ---
     {
         auto requests_n = static_cast<int64_t>(std::max<size_t>(
             envCount("PAICHAR_TRACE_BENCH_JOBS", 200000), 100));
         auto model = workload::ModelZoo::all().front();
         auto w = inference::InferenceWorkload::fromTraining(model);
-        inference::ServingSimulator sim(
-            inference::ServingConfig{});
-        double qps = 5000.0;
+        inference::FleetSimulator sim{inference::FleetConfig{}};
+        stats::ArrivalConfig arrival;
+        arrival.qps = 5000.0;
 
-        std::printf("# obs-overhead: serving sim, %lld requests, "
-                    "best of %d reps\n",
-                    static_cast<long long>(requests_n), kReps);
+        // A run takes about 15 ms, so the modes alternate within each
+        // rep (drift on a shared host hits all three alike) and take
+        // three times the section's reps.
+        constexpr int kServingReps = 3 * kReps;
+        std::printf("# obs-overhead: serving 1-server fleet, %lld "
+                    "requests, best of %d interleaved reps\n",
+                    static_cast<long long>(requests_n), kServingReps);
         struct Mode
         {
             const char *name;
             bool metrics;
             bool profiling;
+            double best;
         };
-        const Mode modes[] = {
-            {"disabled", false, false},
-            {"metrics", true, false},
-            {"metrics+profile", true, true},
+        Mode modes[] = {
+            {"disabled", false, false, 0.0},
+            {"metrics", true, false, 0.0},
+            {"metrics+profile", true, true, 0.0},
         };
-        double baseline = 0.0;
-        for (const Mode &mode : modes) {
-            obs::setEnabled(mode.metrics);
-            double best = 0.0;
-            for (int rep = 0; rep < kReps; ++rep) {
+        for (int rep = 0; rep < kServingReps; ++rep) {
+            for (Mode &mode : modes) {
+                obs::setEnabled(mode.metrics);
                 if (mode.profiling)
                     obs::startProfiling();
                 auto t0 = std::chrono::steady_clock::now();
-                auto r = sim.run(w, qps, requests_n, 42);
+                auto r = sim.run({{w, arrival}}, requests_n, 42);
                 benchmark::DoNotOptimize(r.throughput);
                 auto t1 = std::chrono::steady_clock::now();
                 if (mode.profiling)
                     obs::stopProfiling();
                 double sec =
                     std::chrono::duration<double>(t1 - t0).count();
-                if (rep == 0 || sec < best)
-                    best = sec;
+                if (rep == 0 || sec < mode.best)
+                    mode.best = sec;
             }
-            if (!mode.metrics)
-                baseline = best;
-            double overhead_pct =
-                baseline > 0.0 ? (best / baseline - 1.0) * 100.0
-                               : 0.0;
+        }
+        obs::setEnabled(true);
+        double baseline = modes[0].best;
+        for (const Mode &mode : modes) {
             std::printf(
                 "{\"bench\":\"obs_overhead_serving\","
                 "\"mode\":\"%s\",\"requests\":%lld,"
                 "\"threads\":%d,\"seconds\":%.6f,"
                 "\"overhead_pct\":%.2f}\n",
                 mode.name, static_cast<long long>(requests_n),
-                threads, best, overhead_pct);
+                threads, mode.best,
+                (mode.best / baseline - 1.0) * 100.0);
         }
-        obs::setEnabled(true);
     }
 
     // --- cluster scheduler: the per-job JobRecord sink ---
@@ -947,12 +949,11 @@ runSimEngineSection()
 }
 
 /**
- * Serving section: simulated-requests-per-wall-second of the seed
- * single-server simulator against the fleet event loop over the same
- * ResNet50 stream (the contents of BENCH_serving.json). The
- * fleet1_greedy row doubles as the overhead budget of the generalized
- * loop (routing, records, obs histogram) against the seed's array
- * walk. The scale rows hold the per-server load at the fleet1 rate
+ * Serving section: simulated-requests-per-wall-second of the fleet
+ * event loop over a ResNet50 stream (the contents of
+ * BENCH_serving.json). The fleet1_greedy row is the single-server
+ * scenario `paichar serve` and its SLO search run. The scale rows
+ * hold the per-server load at the fleet1 rate
  * (800 qps) from 16 to 1024 servers under each routing policy, and
  * under p2c with a timeline recording, so a per-request cost that
  * grows with the fleet shows as a falling rate. Every row runs at 1
@@ -1003,11 +1004,6 @@ runServingSection()
     using inference::Batching;
     using inference::Routing;
     std::vector<Row> rows = {
-        {"seed_single", 1,
-         [&] {
-             inference::ServingSimulator sim;
-             return sim.run(w, kQpsPerServer, requests, 7).requests;
-         }},
         {"fleet1_greedy", 1,
          fleet(1, Routing::RoundRobin, Batching::Greedy, false)},
         {"fleet4_greedy", 4,
@@ -1033,7 +1029,6 @@ runServingSection()
 
     for (int threads : {1, 4}) {
         runtime::setThreadCount(threads);
-        double seed_rate = 0.0;
         for (const Row &row : rows) {
             double best = 0.0;
             for (int rep = 0; rep < kReps; ++rep) {
@@ -1053,15 +1048,12 @@ runServingSection()
                 best = std::max(best,
                                 static_cast<double>(requests) / sec);
             }
-            if (row.sim == "seed_single")
-                seed_rate = best;
             std::printf(
                 "{\"bench\":\"serving\",\"sim\":\"%s\","
                 "\"servers\":%d,\"threads\":%d,\"requests\":%lld,"
-                "\"requests_per_s\":%.0f,\"relative_to_seed\":%.2f}\n",
+                "\"requests_per_s\":%.0f}\n",
                 row.sim.c_str(), row.servers, threads,
-                static_cast<long long>(requests), best,
-                seed_rate > 0.0 ? best / seed_rate : 0.0);
+                static_cast<long long>(requests), best);
         }
     }
     runtime::setThreadCount(0);

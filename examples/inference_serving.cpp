@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "inference/serving_sim.h"
+#include "inference/fleet_sim.h"
 #include "stats/table.h"
 
 using namespace paichar;
@@ -32,10 +32,10 @@ main(int argc, char **argv)
     }();
     auto w = inference::InferenceWorkload::fromTraining(m);
 
-    inference::ServingSimulator sim;
-    double solo = w.serviceTime(1, sim.config().server.gpu,
-                                sim.config().launch_overhead) +
-                  w.inputTime(1, sim.config().server.pcie_bandwidth);
+    inference::FleetConfig cfg; // one server, greedy batching
+    double solo =
+        w.serviceTime(1, cfg.server.gpu, cfg.launch_overhead) +
+        w.inputTime(1, cfg.server.pcie_bandwidth);
     std::printf("%s inference: solo service %s, SLO p99 <= %s\n\n",
                 w.name.c_str(), stats::fmtSeconds(solo).c_str(),
                 stats::fmtSeconds(slo).c_str());
@@ -48,11 +48,13 @@ main(int argc, char **argv)
     stats::Table t({"max batch", "max QPS under SLO",
                     "p99 at that load", "GPU util"});
     for (int mb : {1, 2, 4, 8, 16}) {
-        inference::ServingConfig cfg;
         cfg.max_batch = mb;
-        inference::ServingSimulator s(cfg);
-        double qps = s.maxQpsUnderSlo(w, slo, 50.0 / solo, 1);
-        auto at = s.run(w, std::max(qps, 1.0), 20000, 1);
+        double qps =
+            inference::maxQpsUnderSlo(cfg, w, slo, 50.0 / solo, 20000, 1);
+        stats::ArrivalConfig arrival;
+        arrival.qps = std::max(qps, 1.0);
+        auto at = inference::FleetSimulator(cfg).run({{w, arrival}},
+                                                     20000, 1);
         t.addRow({std::to_string(mb), stats::fmt(qps, 0),
                   stats::fmtSeconds(at.p99_latency),
                   stats::fmtPct(at.gpu_utilization)});

@@ -31,7 +31,6 @@
 #include "core/sweep.h"
 #include "hw/units.h"
 #include "inference/fleet_sim.h"
-#include "inference/serving_sim.h"
 #include "opt/optimization_planner.h"
 #include "predict/predictor.h"
 #include "profiler/bottleneck_report.h"
@@ -691,17 +690,14 @@ cmdServe(const Args &args, std::ostream &out, std::ostream &err)
                 << "\n";
         }
     }
-    // The single-server SLO search (the seed simulator's headline
+    // The single-server SLO search (the seed scenario's headline
     // number) still anchors the default invocation.
     if (f.cfg.num_servers == 1 && !f.cfg.autoscaler.enabled &&
         f.cfg.batching == inference::Batching::Greedy &&
         f.arrival.kind == stats::ArrivalKind::Constant &&
         f.cfg.admit_queue == 0) {
-        inference::ServingConfig scfg;
-        scfg.max_batch = f.cfg.max_batch;
-        inference::ServingSimulator sim(scfg);
-        double cap = sim.maxQpsUnderSlo(w, f.slo, 50.0 / f.solo,
-                                        20190701);
+        double cap = inference::maxQpsUnderSlo(
+            f.cfg, w, f.slo, 50.0 / f.solo, 20000, 20190701);
         out << "  max QPS under p99 <= " << stats::fmtSeconds(f.slo)
             << ": " << stats::fmt(cap, 0) << "\n";
     }

@@ -53,9 +53,9 @@ struct Server
 };
 
 /** Event ordering: (time, kind, server). Arrivals precede the
- *  completions they may join (matching the seed simulator's
- *  `arrivals[next] <= start` inclusion), provisions precede
- *  arrivals so fresh capacity is routable at its ready instant. */
+ *  completions they may join (an arrival at a launch instant joins
+ *  that launch), provisions precede arrivals so fresh capacity is
+ *  routable at its ready instant. */
 enum EventKind
 {
     kProvision = 0,
@@ -65,6 +65,20 @@ enum EventKind
 };
 
 } // namespace
+
+const char *
+toString(OverloadVerdict v)
+{
+    switch (v) {
+    case OverloadVerdict::Stable:
+        return "stable";
+    case OverloadVerdict::Saturated:
+        return "saturated";
+    case OverloadVerdict::Undersampled:
+        return "undersampled";
+    }
+    return "?";
+}
 
 const char *
 toString(Routing r)
@@ -372,7 +386,6 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 t - arrivals[static_cast<size_t>(id)].time;
             latencies.add(lat);
             latency_seq.push_back(lat);
-            latency_hist.observe(lat * 1e6);
             if (tl_latency)
                 tl_latency->observe(lat * 1e6);
             if (slo_mode)
@@ -650,8 +663,11 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                   static_cast<double>(total_batches)
             : 0.0;
 
-    // Same detector and sample floor as the single-server simulator
-    // (serving_sim.cc): explicit Undersampled below the floor.
+    // Overload detection: under a stable queue, late-run latencies
+    // match mid-run ones; in overload the backlog (and thus latency)
+    // grows without bound. Below the sample floor the heuristic has
+    // no signal, and the verdict says so explicitly instead of
+    // defaulting to "stable".
     size_t n = latency_seq.size();
     if (n < static_cast<size_t>(kMinSaturationSamples)) {
         result.verdict = OverloadVerdict::Undersampled;
@@ -662,6 +678,9 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
                 acc += latency_seq[j];
             return acc / static_cast<double>(hi - lo);
         };
+        // With a linearly growing backlog the tail-to-middle ratio
+        // approaches 1.8 (0.9n vs 0.5n of linear growth); a stable
+        // queue keeps it near 1. Split the difference.
         double mid = mean_range(2 * n / 5, 3 * n / 5);
         double tail = mean_range(4 * n / 5, n);
         result.verdict = tail > 1.45 * mid
@@ -671,6 +690,9 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
     result.saturated =
         result.verdict == OverloadVerdict::Saturated;
 
+    // One batch publish per run: bit-identical to observing each
+    // latency as it completes, without four atomics per request.
+    latency_hist.observeBatch(latency_seq, 1e6);
     requests_ctr.add(static_cast<uint64_t>(result.offered));
     rejected_ctr.add(static_cast<uint64_t>(result.rejected));
     batches_ctr.add(static_cast<uint64_t>(total_batches));
@@ -679,25 +701,54 @@ FleetSimulator::run(const std::vector<ModelLoad> &models,
     return result;
 }
 
+namespace {
+
+/** The argument checks both SLO searches share. */
+void
+checkSloSearch(const char *who, double slo, const char *count_name,
+               int64_t count)
+{
+    if (!(slo > 0.0) || !std::isfinite(slo))
+        throw std::invalid_argument(std::string(who) +
+                                    ": slo must be positive and finite");
+    // A probe too short to judge saturation could certify an
+    // overloaded operating point.
+    if (count < kMinSaturationSamples)
+        throw std::invalid_argument(
+            std::string(who) + ": " + count_name + " must be >= " +
+            std::to_string(kMinSaturationSamples) +
+            " (the saturation-detector sample floor), got " +
+            std::to_string(count));
+}
+
+/** One SLO-search probe: a fixed fleet, nothing recorded. */
+bool
+probeMeetsSlo(FleetConfig probe, const std::vector<ModelLoad> &models,
+              double slo, int64_t num_requests, uint64_t seed)
+{
+    probe.autoscaler.enabled = false;
+    probe.record_requests = false;
+    probe.record_timeline = false;
+    FleetResult r =
+        FleetSimulator(probe).run(models, num_requests, seed);
+    return r.verdict == OverloadVerdict::Stable && r.rejected == 0 &&
+           r.p99_latency <= slo;
+}
+
+} // namespace
+
 std::optional<int>
 minServersForSlo(const FleetConfig &cfg,
                  const std::vector<ModelLoad> &models, double slo,
                  int max_servers, int64_t num_requests,
                  uint64_t seed)
 {
-    if (!(slo > 0.0) || !std::isfinite(slo))
-        throw std::invalid_argument(
-            "minServersForSlo: slo must be positive and finite");
+    checkSloSearch("minServersForSlo", slo, "num_requests",
+                   num_requests);
     if (max_servers < 1)
         throw std::invalid_argument(
             "minServersForSlo: max_servers must be >= 1, got " +
             std::to_string(max_servers));
-    if (num_requests < kMinSaturationSamples)
-        throw std::invalid_argument(
-            "minServersForSlo: num_requests must be >= " +
-            std::to_string(kMinSaturationSamples) +
-            " (the saturation-detector sample floor), got " +
-            std::to_string(num_requests));
 
     obs::Span span("inference.fleet.capacity_search");
     static obs::Counter &probes_ctr =
@@ -707,13 +758,7 @@ minServersForSlo(const FleetConfig &cfg,
         probes_ctr.add();
         FleetConfig probe = cfg;
         probe.num_servers = n;
-        probe.autoscaler.enabled = false;
-        probe.record_requests = false;
-        probe.record_timeline = false;
-        FleetResult r =
-            FleetSimulator(probe).run(models, num_requests, seed);
-        return r.verdict == OverloadVerdict::Stable &&
-               r.rejected == 0 && r.p99_latency <= slo;
+        return probeMeetsSlo(probe, models, slo, num_requests, seed);
     };
 
     if (ok(1))
@@ -731,6 +776,44 @@ minServersForSlo(const FleetConfig &cfg,
             lo = mid;
     }
     return hi;
+}
+
+double
+maxQpsUnderSlo(const FleetConfig &cfg, const InferenceWorkload &workload,
+               double slo, double qps_hi, int64_t probe_requests,
+               uint64_t seed)
+{
+    checkSloSearch("maxQpsUnderSlo", slo, "probe_requests",
+                   probe_requests);
+    if (!(qps_hi > 1.0) || !std::isfinite(qps_hi))
+        throw std::invalid_argument(
+            "maxQpsUnderSlo: qps_hi must be > 1 and finite");
+
+    obs::Span span("inference.max_qps_under_slo");
+    static obs::Counter &probes_ctr =
+        obs::counter("inference.slo_probes");
+
+    auto ok = [&](double qps) {
+        probes_ctr.add();
+        stats::ArrivalConfig arrival;
+        arrival.qps = qps;
+        return probeMeetsSlo(cfg, {{workload, arrival}}, slo,
+                             probe_requests, seed);
+    };
+
+    if (!ok(1.0))
+        return 0.0;
+    if (ok(qps_hi))
+        return qps_hi;
+    double lo = 1.0, hi = qps_hi;
+    for (int iter = 0; iter < 24; ++iter) {
+        double mid = 0.5 * (lo + hi);
+        if (ok(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return lo;
 }
 
 } // namespace paichar::inference

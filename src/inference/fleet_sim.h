@@ -2,7 +2,9 @@
  * @file
  * The SLO-driven serving-fleet simulator (DESIGN.md Sec 14): the
  * serving-side twin of the paper's hardware-evolution sweeps,
- * answering "how many servers does X QPS need under a Y-ms p99 SLO".
+ * answering "how many servers does X QPS need under a Y-ms p99 SLO"
+ * (minServersForSlo) and "how much load does this fleet hold under
+ * it" (maxQpsUnderSlo). It is the library's one serving simulator.
  *
  * A fleet is N identical single-GPU model servers fed by open-loop
  * arrival streams (one stream per served model; constant, diurnal or
@@ -12,9 +14,9 @@
  * arrivals are rejected and counted), and is served under one of two
  * batching disciplines:
  *
- *  - Greedy (the seed ServingSimulator's): when the GPU goes idle it
- *    takes up to max_batch queued requests *of one model* as a
- *    single launch; everything in the launch completes together.
+ *  - Greedy: when the GPU goes idle it takes up to max_batch queued
+ *    requests *of one model* as a single launch; everything in the
+ *    launch completes together.
  *  - Continuous (iteration-level): items are served and complete
  *    individually, with the per-launch fixed cost (kernel launch +
  *    weight stream) amortized over windows of up to max_batch
@@ -30,10 +32,10 @@
  * Determinism: the entire simulation is a single-threaded event loop
  * over totally ordered events (time, kind, server) with seed-pure
  * per-stream RNGs, so results are byte-identical for every --threads
- * setting, like every other subcommand. A one-server
- * greedy fleet with a constant stream reproduces the seed
- * ServingSimulator byte-for-byte (pinned by the testkit fleet
- * oracle).
+ * setting, like every other subcommand. A one-server greedy fleet
+ * with a constant stream reproduces the original single-server
+ * serving loop byte-for-byte (pinned by the testkit fleet oracle,
+ * which keeps that loop as its reference).
  *
  * Cost: O(log servers) per event. No event scans the fleet: the next
  * completion comes off a (completion, server) min-heap of the busy
@@ -43,9 +45,16 @@
  * timeline read running up/queued counts (fleet_index.h). Ties break
  * toward the lower server index, as the scans they replaced did.
  *
- * Per-request latencies also flow into the obs histogram registry
- * (`inference.fleet.latency_us`), so p50/p99/p999 appear in
- * --metrics / OpenMetrics output for free.
+ * Completed requests' latencies are published to the obs histogram
+ * registry (`inference.fleet.latency_us`) in one batch at the end of
+ * each run, so p50/p99/p999 appear in --metrics / OpenMetrics output
+ * for free.
+ *
+ * Input validation is real error handling (std::invalid_argument in
+ * release builds too), not asserts, and the overload verdict is
+ * explicit: a run too short to judge reports
+ * OverloadVerdict::Undersampled instead of silently passing for
+ * stable.
  */
 
 #ifndef PAICHAR_INFERENCE_FLEET_SIM_H
@@ -58,10 +67,34 @@
 
 #include "hw/hardware_config.h"
 #include "inference/inference_workload.h"
-#include "inference/serving_sim.h"
 #include "stats/arrival.h"
 
 namespace paichar::inference {
+
+/**
+ * The saturation verdict of one serving run.
+ *
+ * The detector compares late-run latencies to mid-run ones (an
+ * unstable queue grows without bound, so the tail keeps climbing);
+ * that comparison needs a minimum sample count to mean anything.
+ * Runs shorter than kMinSaturationSamples report Undersampled — an
+ * explicit "cannot judge", never a silent "stable".
+ */
+enum class OverloadVerdict
+{
+    /** Enough samples, queue stable. */
+    Stable,
+    /** Enough samples, backlog growing without bound. */
+    Saturated,
+    /** Too few completions to judge (< kMinSaturationSamples). */
+    Undersampled,
+};
+
+/** CLI/report spelling ("stable" | "saturated" | "undersampled"). */
+const char *toString(OverloadVerdict v);
+
+/** Minimum completions the saturation detector needs to judge. */
+inline constexpr int64_t kMinSaturationSamples = 100;
 
 /** Request-to-server routing policy. */
 enum class Routing
@@ -220,7 +253,8 @@ struct FleetResult
     /** Mean items per launch/window. */
     double avg_batch = 0.0;
     int64_t batches = 0;
-    /** Same detector and sample floor as the single server. */
+    /** Explicit saturation verdict (saturated == (verdict ==
+     *  Saturated); Undersampled is *not* stable). */
     OverloadVerdict verdict = OverloadVerdict::Undersampled;
     bool saturated = false;
     /** Autoscaler trajectory. */
@@ -262,22 +296,45 @@ class FleetSimulator
     FleetConfig cfg_;
 };
 
+/*
+ * The two SLO searches. Each probe runs @p cfg with the autoscaler,
+ * the request log and the timeline off (capacity planning wants a
+ * fixed fleet, and only the run the user asked about belongs in the
+ * exported timeline), and passes only on a Stable verdict, zero
+ * rejections and p99 <= slo: an undersampled or saturating probe can
+ * luck under the line. Both throw std::invalid_argument when slo is
+ * not positive and finite, or when a probe would have fewer than
+ * kMinSaturationSamples requests (it could not judge saturation and
+ * could certify an overloaded operating point).
+ */
+
 /**
- * Smallest fleet size in [1, max_servers] whose run over @p models
- * (scaled to @p num_requests arrivals from @p seed) reports a Stable
- * verdict, zero rejections, and p99 <= slo — found by bisection
+ * Smallest fleet size in [1, max_servers] whose probe over @p models
+ * (@p num_requests arrivals from @p seed) passes — found by bisection
  * (queueing delay is monotone in per-server load). Returns nullopt
  * when even max_servers misses the SLO.
  *
- * The probe at each size reuses @p cfg with num_servers overridden
- * and the autoscaler disabled (capacity planning wants a fixed
- * fleet).
+ * @throws std::invalid_argument also if max_servers < 1.
  */
 std::optional<int>
 minServersForSlo(const FleetConfig &cfg,
                  const std::vector<ModelLoad> &models, double slo,
                  int max_servers, int64_t num_requests,
                  uint64_t seed);
+
+/**
+ * Largest constant (Poisson) arrival rate of @p workload in
+ * [1, qps_hi] whose probe on @p cfg (@p probe_requests arrivals from
+ * @p seed) passes, found by 24 bisection steps; qps_hi when it passes
+ * itself, 0 when even 1 qps misses the SLO.
+ *
+ * @throws std::invalid_argument also if qps_hi is not > 1 and
+ *         finite.
+ */
+double maxQpsUnderSlo(const FleetConfig &cfg,
+                      const InferenceWorkload &workload, double slo,
+                      double qps_hi, int64_t probe_requests,
+                      uint64_t seed);
 
 } // namespace paichar::inference
 

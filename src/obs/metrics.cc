@@ -147,6 +147,37 @@ Histogram::atomicMaxDouble(std::atomic<uint64_t> &bits, double d)
     }
 }
 
+void
+Histogram::observeBatch(std::span<const double> values, double scale)
+{
+    if (!enabled() || values.empty())
+        return;
+    uint64_t counts[kBuckets] = {};
+    double top = -std::numeric_limits<double>::infinity();
+    uint64_t old = sum_bits_.load(std::memory_order_relaxed);
+    double sum = std::bit_cast<double>(old);
+    for (double v : values) {
+        double x = v * scale;
+        ++counts[bucketOf(x)];
+        sum += x;
+        if (x > top) // NaN never wins, as in atomicMaxDouble
+            top = x;
+    }
+    for (int b = 0; b < kBuckets; ++b) {
+        if (counts[b])
+            buckets_[b].fetch_add(counts[b], std::memory_order_relaxed);
+    }
+    count_.fetch_add(values.size(), std::memory_order_relaxed);
+    // A concurrent observer moved the sum: refold from its value.
+    while (!sum_bits_.compare_exchange_weak(
+        old, std::bit_cast<uint64_t>(sum), std::memory_order_relaxed)) {
+        sum = std::bit_cast<double>(old);
+        for (double v : values)
+            sum += v * scale;
+    }
+    atomicMaxDouble(max_bits_, top);
+}
+
 double
 Histogram::bucketUpperBound(int i)
 {

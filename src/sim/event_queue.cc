@@ -367,19 +367,6 @@ EventQueue::drainRecorded(SimTime until)
         tl.advanceTo(until);
 }
 
-SimTime
-EventQueue::runBefore(SimTime bound)
-{
-    obs::Span span("sim.run_before");
-    uint64_t before = executed_;
-    while (refillFront() && front_.front().when < bound)
-        executeTop();
-    if (now_ < bound)
-        now_ = bound;
-    finishDrain(span, executed_ - before);
-    return now_;
-}
-
 void
 EventQueue::finishDrain(obs::Span &span, uint64_t executed_delta)
 {

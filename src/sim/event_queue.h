@@ -94,12 +94,6 @@ class EventQueue
     SimTime runUntil(SimTime until);
 
     /**
-     * Run events with time strictly < @p bound; now() advances to
-     * @p bound afterwards (if beyond it already, it stays put).
-     */
-    SimTime runBefore(SimTime bound);
-
-    /**
      * Earliest pending event time; +infinity when empty. Amortized
      * O(1) (may migrate handles between internal levels, hence
      * non-const).

@@ -8,8 +8,9 @@
  * (arXiv:2109.01313, see PAPERS.md):
  *
  *  - Constant: a homogeneous Poisson process at a fixed rate — the
- *    classic single-rate probe, and exactly the arrival stream the
- *    seed ServingSimulator used.
+ *    classic single-rate probe that maxQpsUnderSlo bisects over, and
+ *    exactly the arrival stream of the original single-server loop
+ *    (the fleet oracle's reference).
  *  - Diurnal: an inhomogeneous Poisson process whose rate follows a
  *    sinusoid (trough at t = 0, one full cycle per period), sampled
  *    by Lewis-Shedler thinning. Models the day/night swing.

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
 #include <sstream>
 
+#include "stats/arrival.h"
+#include "stats/cdf.h"
 #include "stats/rng.h"
 #include "workload/model_zoo.h"
 
@@ -16,10 +19,9 @@ using inference::FleetResult;
 using inference::FleetSimulator;
 using inference::InferenceWorkload;
 using inference::ModelLoad;
+using inference::OverloadVerdict;
 using inference::RequestRecord;
 using inference::Routing;
-using inference::ServingConfig;
-using inference::ServingSimulator;
 
 namespace {
 
@@ -30,6 +32,88 @@ std::string
 fail(const std::string &what)
 {
     return what;
+}
+
+/**
+ * The differential's reference: the original single-server serving
+ * loop, kept as written before the fleet replaced it. Poisson
+ * arrivals; whenever the GPU is free, everything queued by the
+ * launch instant (up to max_batch) leaves as one launch. It fills the
+ * FleetResult fields a one-server greedy fleet must reproduce.
+ */
+FleetResult
+referenceSingleServer(const InferenceWorkload &w, double qps,
+                      int64_t num_requests, uint64_t seed,
+                      int max_batch)
+{
+    const FleetConfig defaults;
+    const hw::ServerSpec &server = defaults.server;
+    stats::Rng rng(seed);
+    std::vector<double> arrivals(static_cast<size_t>(num_requests));
+    double t = 0.0;
+    for (double &a : arrivals) {
+        t += stats::sampleExp(rng, qps);
+        a = t;
+    }
+
+    std::deque<double> queue; // arrival times of waiting requests
+    size_t next = 0;
+    double gpu_free = 0.0, busy = 0.0, last_end = 0.0;
+    int64_t batches = 0;
+    stats::WeightedCdf latencies;
+    std::vector<double> latency_seq;
+    while (next < arrivals.size() || !queue.empty()) {
+        if (queue.empty())
+            queue.push_back(arrivals[next++]);
+        double start = std::max(gpu_free, queue.front());
+        while (next < arrivals.size() && arrivals[next] <= start)
+            queue.push_back(arrivals[next++]);
+        int batch = static_cast<int>(
+            std::min<size_t>(queue.size(), static_cast<size_t>(max_batch)));
+        double svc = w.inputTime(batch, server.pcie_bandwidth) +
+                     w.serviceTime(batch, server.gpu,
+                                   defaults.launch_overhead);
+        double end = start + svc;
+        for (int b = 0; b < batch; ++b) {
+            double lat = end - queue.front();
+            latencies.add(lat);
+            latency_seq.push_back(lat);
+            queue.pop_front();
+        }
+        gpu_free = end;
+        busy += svc;
+        last_end = end;
+        ++batches;
+    }
+
+    FleetResult r;
+    r.completed = num_requests;
+    r.duration = last_end;
+    r.throughput = num_requests / last_end;
+    r.mean_latency = latencies.mean();
+    r.p50_latency = latencies.quantile(0.50);
+    r.p95_latency = latencies.quantile(0.95);
+    r.p99_latency = latencies.quantile(0.99);
+    r.p999_latency = latencies.quantile(0.999);
+    r.gpu_utilization = busy / last_end;
+    r.avg_batch = static_cast<double>(num_requests) /
+                  static_cast<double>(batches);
+    size_t n = latency_seq.size();
+    if (n < static_cast<size_t>(inference::kMinSaturationSamples)) {
+        r.verdict = OverloadVerdict::Undersampled;
+    } else {
+        auto mean_range = [&](size_t lo, size_t hi) {
+            double acc = 0.0;
+            for (size_t j = lo; j < hi; ++j)
+                acc += latency_seq[j];
+            return acc / static_cast<double>(hi - lo);
+        };
+        r.verdict = mean_range(4 * n / 5, n) >
+                            1.45 * mean_range(2 * n / 5, 3 * n / 5)
+                        ? OverloadVerdict::Saturated
+                        : OverloadVerdict::Stable;
+    }
+    return r;
 }
 
 } // namespace
@@ -146,11 +230,8 @@ checkSingleServerEquivalence(const InferenceWorkload &w, double qps,
                              int64_t num_requests, uint64_t seed,
                              int max_batch)
 {
-    ServingConfig scfg;
-    scfg.max_batch = max_batch;
-    ServingSimulator seed_sim(scfg);
-    inference::ServingResult a =
-        seed_sim.run(w, qps, num_requests, seed);
+    FleetResult a =
+        referenceSingleServer(w, qps, num_requests, seed, max_batch);
 
     FleetConfig fcfg;
     fcfg.num_servers = 1;
@@ -167,12 +248,13 @@ checkSingleServerEquivalence(const InferenceWorkload &w, double qps,
         std::ostringstream os;
         os.precision(17);
         os << "single-server differential: " << field
-           << " diverges (serving " << x << " vs fleet " << y << ")";
+           << " diverges (reference " << x << " vs fleet " << y
+           << ")";
         return os.str();
     };
-    // Byte-exact: the fleet shares the seed simulator's RNG orbit,
+    // Byte-exact: the fleet shares the reference's RNG orbit,
     // sampler and arithmetic, so == (not NEAR) is the contract.
-    if (a.requests != b.completed)
+    if (a.completed != b.completed)
         return fail("single-server differential: completion counts "
                     "differ");
     if (a.duration != b.duration)

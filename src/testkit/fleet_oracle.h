@@ -2,8 +2,8 @@
  * @file
  * Fleet differential oracle: policy-independent invariants every
  * serving-fleet configuration must uphold, checked against fuzzed
- * arrival streams, plus the byte-exact differential against the seed
- * single-server simulator.
+ * arrival streams, plus the byte-exact differential against a
+ * reference single-server loop.
  *
  * The invariants (DESIGN.md Sec 14):
  *  - request conservation: offered = admitted + rejected, every
@@ -16,8 +16,12 @@
  *    and a server's busy seconds never exceed its uptime;
  *  - quantile coherence: p50 <= p95 <= p99 <= p999 <= max;
  *  - differential: a one-server greedy fleet with a constant stream
- *    must reproduce the seed ServingSimulator byte-for-byte (same
- *    RNG orbit, same arithmetic, same verdict).
+ *    must reproduce the original single-server serving loop
+ *    byte-for-byte (same RNG orbit, same arithmetic, same verdict).
+ *    That loop lives on, private to fleet_oracle.cc, as the
+ *    reference: an array walk over presampled Poisson arrivals with
+ *    no routing, no event queue and no shared code beyond the
+ *    workload's service times, the sampler and the CDF.
  *
  * fuzzFleet() sweeps seed-derived fleet shapes (servers, routing,
  * batching, admission, arrival kinds) and returns the first violation
@@ -48,8 +52,8 @@ checkFleetInvariants(const inference::FleetConfig &cfg,
 
 /**
  * Differential check: a one-server greedy fleet over a constant
- * @p qps stream must reproduce the seed ServingSimulator exactly
- * (bitwise-equal doubles, equal counts, equal verdict).
+ * @p qps stream must reproduce the reference single-server loop
+ * exactly (bitwise-equal doubles, equal counts, equal verdict).
  * @return nullopt when identical, else the first divergence.
  */
 std::optional<std::string>

@@ -7,9 +7,10 @@
  * `bench_ext_inference` settings), plus the BERT rows of
  * `examples/inference_serving` (50 ms SLO, seed 1: the answer, and
  * p99 and GPU utilization of a 20k-request run at that load). Every
- * double is printed with %.17g, so a rewrite of the search or of the
- * loop it probes must reproduce the old answers bit for bit. On a
- * mismatch the test prints the recomputed table. `ctest -L serve`.
+ * double is printed with %.17g. The table was recorded on the
+ * single-server simulator that the 1-server fleet replaced, so the
+ * fleet's search reproduces its answers bit for bit. On a mismatch
+ * the test prints the recomputed table. `ctest -L serve`.
  */
 
 #include <gtest/gtest.h>
@@ -19,44 +20,13 @@
 #include <map>
 #include <string>
 
-#include "inference/serving_sim.h"
+#include "inference/fleet_sim.h"
 #include "workload/model_zoo.h"
 
 namespace paichar::inference {
 namespace {
 
-double
-soloService(const InferenceWorkload &w)
-{
-    ServingConfig cfg;
-    return w.serviceTime(1, cfg.server.gpu, cfg.launch_overhead) +
-           w.inputTime(1, cfg.server.pcie_bandwidth);
-}
-
-ServingSimulator
-server(int max_batch)
-{
-    ServingConfig cfg;
-    cfg.max_batch = max_batch;
-    return ServingSimulator(cfg);
-}
-
-double
-searchQps(const InferenceWorkload &w, int max_batch, double slo,
-          double qps_hi, uint64_t seed)
-{
-    return server(max_batch).maxQpsUnderSlo(w, slo, qps_hi, seed);
-}
-
-/** p99 and GPU utilization of a 20k-request run at @p qps. */
-std::pair<double, double>
-runAt(const InferenceWorkload &w, int max_batch, double qps,
-      uint64_t seed)
-{
-    ServingResult r = server(max_batch).run(w, qps, 20000, seed);
-    return {r.p99_latency, r.gpu_utilization};
-}
-
+/** Recorded on the single-server loop the fleet replaced. */
 const std::map<std::string, std::string> kFrozen = {
     {"ResNet50/1", "457.56007557598718"},
     {"ResNet50/4", "429.41769965847448"},
@@ -95,28 +65,37 @@ TEST(SloSearchFreeze, AnswersMatchTheFrozenTable)
         }
     };
     char buf[128];
+    FleetConfig cfg; // one server, greedy batching
     for (auto maker :
          {workload::ModelZoo::resnet50, workload::ModelZoo::bert,
           workload::ModelZoo::multiInterests}) {
         auto w = InferenceWorkload::fromTraining(maker());
-        double solo = soloService(w);
+        double solo =
+            w.serviceTime(1, cfg.server.gpu, cfg.launch_overhead) +
+            w.inputTime(1, cfg.server.pcie_bandwidth);
         for (int mb : {1, 4, 8, 16}) {
-            double qps =
-                searchQps(w, mb, 5.0 * solo, 50.0 / solo, 20190701);
+            cfg.max_batch = mb;
+            double qps = maxQpsUnderSlo(cfg, w, 5.0 * solo, 50.0 / solo,
+                                        20000, 20190701);
             EXPECT_GT(qps, 1.0) << w.name << " max_batch " << mb;
             std::snprintf(buf, sizeof(buf), "%.17g", qps);
             check(w.name + "/" + std::to_string(mb), buf);
         }
-    }
-    auto bert =
-        InferenceWorkload::fromTraining(workload::ModelZoo::bert());
-    double solo = soloService(bert);
-    for (int mb : {1, 2, 4, 8, 16}) {
-        double qps = searchQps(bert, mb, 0.05, 50.0 / solo, 1);
-        auto [p99, util] = runAt(bert, mb, std::max(qps, 1.0), 1);
-        std::snprintf(buf, sizeof(buf), "%.17g %.17g %.17g", qps, p99,
-                      util);
-        check("example/BERT/50ms/" + std::to_string(mb), buf);
+        if (w.name != "BERT")
+            continue;
+        // The example's rows: the answer at 50 ms and seed 1, then p99
+        // and GPU utilization of 20k requests at that load.
+        for (int mb : {1, 2, 4, 8, 16}) {
+            cfg.max_batch = mb;
+            double qps =
+                maxQpsUnderSlo(cfg, w, 0.05, 50.0 / solo, 20000, 1);
+            stats::ArrivalConfig a;
+            a.qps = std::max(qps, 1.0);
+            FleetResult r = FleetSimulator(cfg).run({{w, a}}, 20000, 1);
+            std::snprintf(buf, sizeof(buf), "%.17g %.17g %.17g", qps,
+                          r.p99_latency, r.gpu_utilization);
+            check("example/BERT/50ms/" + std::to_string(mb), buf);
+        }
     }
     EXPECT_EQ(mismatches, 0) << "recomputed table:\n" << table;
 }

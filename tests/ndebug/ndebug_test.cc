@@ -13,9 +13,9 @@
  *    on non-finite times;
  *  - the stats formatters allocate to fit, so extreme magnitudes
  *    render completely instead of truncating at a fixed buffer;
- *  - the serving simulators (single-server and fleet) validate their
- *    configs and run arguments by throwing — the pre-fix asserts
- *    vanished under NDEBUG and let qps = 0 divide into NaN;
+ *  - the serving fleet and its SLO searches validate their configs
+ *    and arguments by throwing — the pre-fix asserts vanished under
+ *    NDEBUG and let qps = 0 divide into NaN;
  *  - the exponential sampler clamps a closed-interval uniform draw
  *    instead of emitting an infinite inter-arrival gap;
  *  - the cluster scheduler and its Poisson submission stream reject
@@ -41,7 +41,6 @@
 #include "core/arch_selection.h"
 #include "hw/hardware_config.h"
 #include "inference/fleet_sim.h"
-#include "inference/serving_sim.h"
 #include "obs/obs.h"
 #include "obs/timeline.h"
 #include "opt/optimization_planner.h"
@@ -216,25 +215,25 @@ TEST(NdebugServingTest, ConfigValidationThrowsUnderNdebug)
     // Regression: these were assert()s. With NDEBUG they vanished,
     // so max_batch = 0 marched into the batch loop and qps = 0
     // divided into NaN arrival gaps. Real throws must survive here.
-    inference::ServingConfig bad;
+    inference::FleetConfig bad;
     bad.max_batch = 0;
-    EXPECT_THROW(inference::ServingSimulator{bad},
+    EXPECT_THROW(inference::FleetSimulator{bad},
                  std::invalid_argument);
-    bad = inference::ServingConfig{};
+    bad = inference::FleetConfig{};
     bad.launch_overhead = kNan;
-    EXPECT_THROW(inference::ServingSimulator{bad},
+    EXPECT_THROW(inference::FleetSimulator{bad},
                  std::invalid_argument);
 
-    inference::ServingSimulator sim;
+    inference::FleetConfig one;
     auto w = toyWorkload();
-    EXPECT_THROW(sim.run(w, 0.0, 100, 1), std::invalid_argument);
-    EXPECT_THROW(sim.run(w, kInf, 100, 1), std::invalid_argument);
-    EXPECT_THROW(sim.run(w, 100.0, 0, 1), std::invalid_argument);
-    EXPECT_THROW(sim.maxQpsUnderSlo(w, -1.0, 100.0, 1),
+    EXPECT_THROW(inference::maxQpsUnderSlo(one, w, -1.0, 100.0, 20000, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(inference::maxQpsUnderSlo(one, w, 0.01, kInf, 20000, 1),
                  std::invalid_argument);
     EXPECT_THROW(
-        sim.maxQpsUnderSlo(w, 0.01, 100.0, 1,
-                           inference::kMinSaturationSamples - 1),
+        inference::maxQpsUnderSlo(one, w, 0.01, 100.0,
+                                  inference::kMinSaturationSamples - 1,
+                                  1),
         std::invalid_argument);
 }
 
@@ -242,9 +241,11 @@ TEST(NdebugServingTest, ShortRunsStayUndersampledUnderNdebug)
 {
     // The saturation-detector floor is data-dependent logic, not an
     // assert; it must behave identically in release builds.
-    inference::ServingSimulator sim;
-    auto r = sim.run(toyWorkload(), 100000.0,
-                     inference::kMinSaturationSamples - 1, 7);
+    stats::ArrivalConfig arrival;
+    arrival.qps = 100000.0;
+    auto r = inference::FleetSimulator{inference::FleetConfig{}}.run(
+        {{toyWorkload(), arrival}}, inference::kMinSaturationSamples - 1,
+        7);
     EXPECT_EQ(r.verdict, inference::OverloadVerdict::Undersampled);
     EXPECT_FALSE(r.saturated);
 }

@@ -6,7 +6,8 @@
  * edges with ldexp, so it shares no arithmetic with the bit-reading
  * implementation. Covers every power of two from 2^-5 to 2^66 and
  * one ulp either side, the special values, and a million random bit
- * patterns.
+ * patterns. Histogram::observeBatch is checked against per-value
+ * observe: buckets, count and the bits of sum and max must match.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <vector>
 
 #include "obs/obs.h"
 
@@ -111,6 +113,58 @@ TEST(HistogramBucketOf, RandomBitPatterns)
         }
     }
     EXPECT_EQ(mismatches, 0);
+}
+
+/** Buckets, count and the bits of sum and max of @p a equal @p b's. */
+void
+expectSameHistogram(const Histogram &a, const Histogram &b)
+{
+    for (int i = 0; i < Histogram::kBuckets; ++i)
+        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << "bucket " << i;
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.sum()),
+              std::bit_cast<uint64_t>(b.sum()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.max()),
+              std::bit_cast<uint64_t>(b.max()));
+}
+
+TEST(HistogramObserveBatch, MatchesPerValueObserve)
+{
+    // Zeros of both signs and a negative, then latency-like values
+    // over ten orders of magnitude, so the sum's rounding depends on
+    // the order of the adds.
+    std::vector<double> values = {0.0, -0.0, -2.5, 1e-6};
+    std::mt19937_64 rng(20190701);
+    std::uniform_real_distribution<double> log_v(-7.0, 3.0);
+    for (int i = 0; i < 100000; ++i)
+        values.push_back(std::pow(10.0, log_v(rng)));
+
+    constexpr double kScale = 1e6;
+    Histogram per_value, batched;
+    // A non-empty starting state: the batch folds onto it.
+    for (Histogram *h : {&per_value, &batched})
+        h->observe(12345.678);
+    for (double v : values)
+        per_value.observe(v * kScale);
+    batched.observeBatch(values, kScale);
+    expectSameHistogram(per_value, batched);
+
+    // An empty batch changes nothing.
+    batched.observeBatch({}, kScale);
+    expectSameHistogram(per_value, batched);
+
+    // Negative-only and NaN-only batches on empty histograms: the max
+    // is the first largest value and NaN never wins, as in observe.
+    for (std::vector<double> odd :
+         {std::vector<double>{-3.0, -1.0, -0.0, 0.0, -2.0},
+          std::vector<double>{std::numeric_limits<double>::quiet_NaN(),
+                              -5.0}}) {
+        Histogram a, b;
+        for (double v : odd)
+            a.observe(v);
+        b.observeBatch(odd);
+        expectSameHistogram(a, b);
+    }
 }
 
 } // namespace

@@ -137,20 +137,6 @@ TEST(EventQueueTest, RunUntilRecordsSimEventsAndAdvancesTimeline)
     EXPECT_EQ(simEventsRows(), (std::vector<double>{2, 0, 1, 0, 0}));
 }
 
-TEST(EventQueueTest, RunBeforeExcludesTheBound)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1.0, [&] { ++fired; });
-    eq.schedule(2.0, [&] { ++fired; });
-    EXPECT_DOUBLE_EQ(eq.runBefore(2.0), 2.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_DOUBLE_EQ(eq.nextEventTime(), 2.0);
-    eq.run();
-    EXPECT_EQ(fired, 2);
-}
-
 TEST(EventQueueTest, NextEventTimeAndAdvanceTo)
 {
     EventQueue eq;
@@ -244,7 +230,7 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceSort)
         // Partial drains at a few cut points, then events that
         // schedule follow-ups past the current time.
         eq.runUntil(250.0);
-        eq.runBefore(500.0);
+        eq.runUntil(500.0);
         for (int i = 0; i < 500; ++i) {
             double when = 500.0 + dist(rng) / 2.0;
             int id = next_id++;

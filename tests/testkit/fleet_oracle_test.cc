@@ -1,9 +1,10 @@
 /**
  * @file
  * Fleet-oracle tests (`ctest -L serve`): the byte-exact differential
- * between a one-server greedy fleet and the seed ServingSimulator,
- * direct invariant checks, oracle sensitivity (a corrupted result
- * must be caught), and the fuzzed sweep over fleet shapes.
+ * between a one-server greedy fleet and the oracle's reference loop
+ * (the seed single-server simulator), direct invariant checks, oracle
+ * sensitivity (a corrupted result must be caught), and the fuzzed
+ * sweep over fleet shapes.
  *
  * PAICHAR_FLEET_SEED replays the fuzz sweep from a specific seed (the
  * reproducer printed by describe()).
