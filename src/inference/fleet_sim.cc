@@ -758,7 +758,8 @@ minServersForSlo(const FleetConfig &cfg,
         probes_ctr.add();
         FleetConfig probe = cfg;
         probe.num_servers = n;
-        return probeMeetsSlo(probe, models, slo, num_requests, seed);
+        return probeMeetsSlo(std::move(probe), models, slo,
+                             num_requests, seed);
     };
 
     if (ok(1))
