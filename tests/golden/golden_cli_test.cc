@@ -223,6 +223,20 @@ TEST_F(GoldenCliTest, ScheduleTimeline)
                   "--timeline-interval", "60"}, {"schedule_tl.csv"});
 }
 
+// Preemption leaves stale completions behind: they still count in the
+// timeline's sim.events series, and every restart adds to the job's
+// placement_attempts in the job log. This pins both.
+TEST_F(GoldenCliTest, ScheduleSpfPreemptTimeline)
+{
+    expectGolden("schedule_spf_preempt_timeline",
+                 {"schedule", "golden_trace.csv", "--servers", "48",
+                  "--rate", "120", "--policy", "spf-preempt",
+                  "--timeline", "sched_pre_tl.csv",
+                  "--timeline-interval", "60", "--job-log",
+                  "sched_pre.jsonl"},
+                 {"sched_pre_tl.csv", "sched_pre.jsonl"});
+}
+
 // The SLO-driven autoscaler under bursty load, with the fleet-size
 // trajectory (inference.fleet.servers_up) recorded as a timeline
 // series — the windowed-p99 feed closing ROADMAP item 2's loop.
