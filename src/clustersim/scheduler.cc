@@ -11,6 +11,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "hw/hardware_config.h"
 #include "obs/job_log.h"
@@ -18,7 +19,6 @@
 #include "obs/timeline.h"
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
-#include "sim/event_queue.h"
 #include "stats/cdf.h"
 #include "stats/rng.h"
 
@@ -100,20 +100,35 @@ struct Capacity
     std::array<std::vector<int>, 2> servers_with;
     int64_t total_free = 0;
 
-    Capacity(int num_servers, int gpus_per_server)
-        : free_gpus(static_cast<size_t>(num_servers), gpus_per_server),
-          nvlink(static_cast<size_t>(num_servers), false),
-          speed(static_cast<size_t>(num_servers), 1.0)
+    /**
+     * An idle cluster. NVLink servers head the range; older
+     * generations take its tail but never the NVLink head, whose
+     * size placeable() promises and admission relies on.
+     */
+    explicit Capacity(const SchedulerConfig &cfg)
+        : free_gpus(static_cast<size_t>(cfg.num_servers),
+                    cfg.gpus_per_server),
+          nvlink(static_cast<size_t>(cfg.num_servers), false),
+          speed(static_cast<size_t>(cfg.num_servers), 1.0)
     {
-    }
-
-    /** Build the free-GPU counts; call once the nvlink flags are set. */
-    void
-    countServers(int gpus_per_server)
-    {
+        int nvl_servers =
+            static_cast<int>(cfg.num_servers * cfg.nvlink_fraction);
+        for (int s = 0; s < nvl_servers; ++s)
+            nvlink[static_cast<size_t>(s)] = true;
+        int old_servers = std::min(
+            static_cast<int>(cfg.num_servers * cfg.old_gen_fraction),
+            cfg.num_servers - nvl_servers);
+        const auto generations = hw::paiGenerations();
+        int old_gens = static_cast<int>(generations.size()) - 1;
+        for (int k = 0; k < old_servers && old_gens > 0; ++k) {
+            const hw::GpuGeneration &g =
+                generations[static_cast<size_t>(1 + k % old_gens)];
+            auto s = static_cast<size_t>(cfg.num_servers - 1 - k);
+            speed[s] = g.speed;
+            nvlink[s] = nvlink[s] && g.has_nvlink;
+        }
         for (auto &counts : servers_with)
-            counts.assign(static_cast<size_t>(gpus_per_server) + 1, 0);
-        total_free = 0;
+            counts.assign(static_cast<size_t>(cfg.gpus_per_server) + 1, 0);
         for (size_t s = 0; s < free_gpus.size(); ++s) {
             ++servers_with[nvlink[s]][static_cast<size_t>(free_gpus[s])];
             total_free += free_gpus[s];
@@ -452,6 +467,559 @@ class ShapeQueue
     size_t size_ = 0;
 };
 
+/** One ClusterScheduler::run: state as members, one function per phase. */
+class SchedulerRun
+{
+  public:
+    SchedulerRun(const ClusterScheduler &sched, const SchedulerConfig &cfg,
+                 const core::AnalyticalModel &model,
+                 const std::vector<JobRequest> &requests)
+        : sched_(sched), cfg_(cfg), model_(model), requests_(requests),
+          spf_order_(cfg.policy == Policy::Spf ||
+                     cfg.policy == Policy::SpfPreempt),
+          cap_(cfg), queue_(requests.size()),
+          attempts_(requests.size(), 0),
+          out_index_(requests.size(), kNone),
+          pinned_exec_(requests.size())
+    {
+        // A record_timeline=false run (the FIFO comparison) suspends
+        // the process-wide timeline.
+        if (!cfg_.record_timeline)
+            tl_suspend_.emplace();
+        if (obs::timelineActive()) {
+            tl_ = obs::timeline();
+            tl_pending_ = &tl_->level("clustersim.pending_jobs");
+            tl_running_ = &tl_->level("clustersim.running_jobs");
+            tl_free_gpus_ = &tl_->level("clustersim.free_gpus");
+            tl_arrivals_ = &tl_->rate("clustersim.arrivals");
+            tl_preemptions_ = &tl_->rate("clustersim.preemptions");
+            tl_unplaceable_ = &tl_->rate("clustersim.unplaceable");
+        }
+        out_.jobs.reserve(requests.size());
+
+        // Step times are priced up front (ported plans on demand). A
+        // predictor replaces the analytical run prediction under the
+        // policies that read predictions.
+        const bool wants_predictions =
+            predictionDriven(cfg_.policy) ||
+            (cfg_.policy == Policy::Backfill && cfg_.predictor);
+        reserving_ = !spf_order_ && wants_predictions; // EASY, gang
+        submitted_step_ = runtime::parallelMap<double>(
+            runtime::globalPool(), requests.size(),
+            [&](size_t i) { return model_.stepTime(requests[i].job); });
+        for (size_t i = 0; i < requests.size(); ++i) {
+            pred_run_.push_back(submitted_step_[i] *
+                                static_cast<double>(requests[i].num_steps));
+        }
+        if (wants_predictions && cfg_.predictor) {
+            pred_run_ = runtime::parallelMap<double>(
+                runtime::globalPool(), requests.size(), [&](size_t i) {
+                    const JobRequest &r = requests[i];
+                    double p =
+                        cfg_.predictor(r.job, r.num_steps, pred_run_[i]);
+                    return std::isfinite(p) && p >= 0.0 ? p : pred_run_[i];
+                });
+        }
+        for (size_t i = 0; i < requests.size(); ++i) {
+            steps_remaining_.push_back(requests[i].num_steps);
+            pred_per_step_.push_back(
+                pred_run_[i] / static_cast<double>(requests[i].num_steps));
+        }
+        pred_remaining_ = pred_run_;
+    }
+
+    /**
+     * Run the event loop to the end: admit arrivals, pass, advance
+     * `now`, complete. The outcome has no aggregates.
+     */
+    ClusterOutcome
+    loop()
+    {
+        while (arrival_ < requests_.size() || !queue_.empty() ||
+               !completions_.empty()) {
+            admitArrivals();
+            pass();
+            sampleLevels();
+            // The next arrival or completion, stale ones included.
+            double next = arrival_ < requests_.size()
+                              ? requests_[arrival_].submit_time
+                              : kInf;
+            if (!completions_.empty())
+                next = std::min(next, std::get<0>(completions_.top()));
+            if (!std::isfinite(next))
+                break; // queue non-empty but nothing can ever finish
+            now_ = std::max(now_, next);
+            complete();
+            sampleLevels();
+        }
+        // Every admitted job is placeable on an empty cluster, so the
+        // queue always drains once the running set does.
+        assert(queue_.empty() && "placeable job starved the queue");
+        if (completed_)
+            obs::counter("sim.events_executed").add(events_);
+        return std::move(out_);
+    }
+
+    /** GPU-seconds the placed jobs ran, preempted work excluded. */
+    double gpuSeconds() const { return gpu_seconds_; }
+
+  private:
+    static constexpr size_t kNone = static_cast<size_t>(-1);
+
+    // An in-flight job. Freed slots are recycled, so the table holds
+    // the peak concurrency and the free list the idle slots. `seq`
+    // names the live completion; a preempted job's entry goes stale.
+    struct Slot
+    {
+        Allocation alloc;
+        TrainingJob executed;
+        size_t req = 0, out = 0;
+        double seg_start = 0.0, step_s = 0.0, pred_finish = kInf;
+        int64_t steps_left = 0;
+        uint64_t seq = 0;
+        int gpus = 0;
+        bool active = false;
+    };
+
+    // A pending completion; equal finishes pop in push (seq) order.
+    using Completion = std::tuple<double, uint64_t, size_t>;
+
+    // Admit the submissions up to `now`. A job the cluster can never
+    // host would starve the queue forever under FIFO, so it is
+    // dropped and counted, in release builds too.
+    void
+    admitArrivals()
+    {
+        for (; arrival_ < requests_.size() &&
+               requests_[arrival_].submit_time <= now_;
+             ++arrival_) {
+            if (sched_.placeable(requests_[arrival_].job)) {
+                enqueue(arrival_);
+                if (tl_arrivals_)
+                    tl_arrivals_->add();
+                continue;
+            }
+            ++out_.unplaceable_jobs;
+            if (tl_unplaceable_)
+                tl_unplaceable_->add();
+            obs::counter("clustersim.unplaceable_jobs").add();
+            if (cfg_.record_job_log && obs::jobLogActive()) {
+                obs::JobRecord rec = submittedRecord(arrival_);
+                rec.status = "dropped";
+                obs::recordJob(std::move(rec));
+            }
+        }
+    }
+
+    // A first start of an eligible PS/Worker job tries a port first.
+    bool
+    portable(const TrainingJob &job) const
+    {
+        return cfg_.port_ps_to_allreduce &&
+               job.arch == ArchType::PsWorker &&
+               job.features.weightBytes() <= cfg_.gpu_memory_bytes;
+    }
+
+    // Queue a request keyed by predicted remaining seconds under spf
+    // and spf-preempt, else by arrival, in the shape place() searches:
+    // a restart's pinned plan, else the job and whether it may port.
+    void
+    enqueue(size_t req)
+    {
+        const TrainingJob &job =
+            pinned_exec_[req] ? *pinned_exec_[req] : requests_[req].job;
+        bool port = !pinned_exec_[req] && portable(job);
+        double key = spf_order_ ? pred_remaining_[req]
+                                : static_cast<double>(req);
+        queue_.push({port, static_cast<int>(job.arch), job.num_cnodes},
+                    {key, req});
+    }
+
+    // One scheduling pass at `now`; returns when no job can start.
+    void
+    pass()
+    {
+        // 1. Fifo, backfill and gang start the queue head while it
+        // fits. Fifo stops behind a blocked head.
+        std::optional<Shape> blocked;
+        if (!spf_order_) {
+            while (!queue_.empty() && place(queue_.front().second))
+                queue_.erase(queue_.front());
+            if (cfg_.policy == Policy::Fifo || queue_.empty())
+                return;
+            blocked = queue_.shapeOf(queue_.front().second);
+        }
+        // 2. One pass places every other job that fits, in queue
+        // order. Backfill and gang skip the blocked head's shape, gang
+        // every multi-cNode shape, and EASY and gang every job
+        // predicted to run past the head's reservation t_res. A job
+        // released past t_res may move it, so the pass restarts
+        // (DESIGN.md Sec 13).
+        const bool gang = cfg_.policy == Policy::Gang;
+        for (bool moved = true; moved;) {
+            moved = false;
+            double t_res =
+                reserving_ ? reservationTime(queue_.front().second) : kInf;
+            queue_.pass(
+                [&](const Shape &shape) {
+                    return shape == blocked || (gang && shape.cnodes > 1);
+                },
+                [&](size_t r) {
+                    return reserving_ && now_ + pred_remaining_[r] > t_res;
+                },
+                [&](size_t r) {
+                    if (moved || !place(r))
+                        return false;
+                    moved = !(placed_release_ <= t_res);
+                    return true;
+                });
+        }
+        // 3. Nothing fits now, which is where spf-preempt may free
+        // capacity for the queue head; a head placed that way changes
+        // capacity, so another pass follows.
+        auto never = [](const auto &) { return false; };
+        while (cfg_.policy == Policy::SpfPreempt && !queue_.empty() &&
+               preemptForHead()) {
+            queue_.pass(never, never, [this](size_t r) { return place(r); });
+        }
+    }
+
+    // Place one request and start it if it fits. A restart resumes
+    // its pinned plan; a ported plan is built only once it fits.
+    bool
+    place(size_t req)
+    {
+        placement_attempts_.add();
+        ++attempts_[req];
+        const JobRequest &request = requests_[req];
+        const TrainingJob &job = request.job;
+        Allocation alloc;
+        const TrainingJob *plan =
+            pinned_exec_[req] ? &*pinned_exec_[req] : &job;
+        std::optional<TrainingJob> ported_plan;
+        if (!pinned_exec_[req] && portable(job)) {
+            int n = std::min(job.num_cnodes, cfg_.gpus_per_server);
+            if (findOneServer(cap_, n, /*need_nvlink=*/true,
+                              cfg_.placement, &alloc)) {
+                ported_plan.emplace(job);
+                ported_plan->arch = ArchType::AllReduceLocal;
+                ported_plan->num_cnodes = n;
+                ported_plan->num_ps = 0;
+                plan = &*ported_plan;
+            }
+        }
+        if (!ported_plan && !findFor(cap_, *plan, cfg_, &alloc)) {
+            placement_failures_.add();
+            return false;
+        }
+        // Start it: record the outcome, take the GPUs, push completion.
+        const TrainingJob &executed = *plan;
+        bool ported = executed.arch != job.arch;
+        cap_.take(alloc);
+        double base_step =
+            ported ? model_.stepTime(executed) : submitted_step_[req];
+        // Older generations stretch every step by 1/speed.
+        double step = base_step / cap_.slowestSpeed(alloc);
+        int64_t steps_left = steps_remaining_[req];
+        double runtime = step * static_cast<double>(steps_left);
+        int gpus = 0;
+        for (const auto &server_gpus : alloc)
+            gpus += server_gpus.second;
+
+        size_t oi = out_index_[req];
+        if (oi == kNone) {
+            oi = out_index_[req] = out_.jobs.size();
+            out_.jobs.push_back(
+                {.job_id = request.job.id, .submit_time = request.submit_time,
+                 .start_time = now_, .executed_arch = executed.arch,
+                 .ported = ported, .num_steps = request.num_steps,
+                 .predicted_run_s = pred_run_[req], .segments = {}});
+            out_.ported_jobs += ported;
+        }
+        // A restart keeps its first-start fields and refreshes these.
+        JobOutcome &jo = out_.jobs[oi];
+        jo.finish_time = now_ + runtime;
+        jo.step_s = step;
+        jo.gpus = gpus;
+        gpu_seconds_ += gpus * runtime;
+
+        if (!std::isfinite(jo.finish_time)) {
+            // A job that never finishes holds its GPUs forever. Its
+            // outcome is final, so the record is emitted here.
+            placed_release_ = kInf;
+            emitRecord(req, jo, executed, alloc);
+            return true;
+        }
+        if (free_slots_.empty()) {
+            free_slots_.push_back(slots_.size());
+            slots_.emplace_back();
+        }
+        size_t slot = free_slots_.back();
+        free_slots_.pop_back();
+        placed_release_ =
+            now_ + pred_per_step_[req] * static_cast<double>(steps_left);
+        slots_[slot] = {.alloc = std::move(alloc), .executed = executed,
+                        .req = req, .out = oi, .seg_start = now_,
+                        .step_s = step, .pred_finish = placed_release_,
+                        .steps_left = steps_left, .seq = next_seq_,
+                        .gpus = gpus, .active = true};
+        completions_.push({jo.finish_time, next_seq_++, slot});
+        return true;
+    }
+
+    // Earliest predicted time the queue head could start if running
+    // jobs release at their predicted finishes, ties in outcome order
+    // (EASY's reservation); +inf when a blocking job never finishes.
+    double
+    reservationTime(size_t head_req) const
+    {
+        Capacity sim_cap = cap_;
+        Allocation scratch;
+        std::vector<std::tuple<double, size_t, size_t>> releases;
+        for (size_t s = 0; s < slots_.size(); ++s) {
+            if (slots_[s].active)
+                releases.push_back({slots_[s].pred_finish, slots_[s].out, s});
+        }
+        std::sort(releases.begin(), releases.end());
+        const TrainingJob &job = requests_[head_req].job;
+        for (auto [t, out, s] : releases) {
+            if (!std::isfinite(t))
+                break;
+            sim_cap.release(slots_[s].alloc);
+            if (findFor(sim_cap, job, cfg_, &scratch))
+                return std::max(now_, t);
+        }
+        return kInf;
+    }
+
+    // Steps a running slot has completed by `now`, leaving >= 1 to do.
+    int64_t
+    completedSteps(const Slot &sl) const
+    {
+        auto done = static_cast<int64_t>(
+            std::floor((now_ - sl.seg_start) / sl.step_s + 1e-9));
+        return std::clamp<int64_t>(done, 0, sl.steps_left - 1);
+    }
+
+    // Preempt the job in @p slot at `now` and re-queue its remaining
+    // steps; only the partial step in flight is redone.
+    void
+    preempt(size_t slot)
+    {
+        Slot &sl = slots_[slot];
+        assert(sl.active);
+        int64_t left = sl.steps_left - completedSteps(sl);
+        // Return the unexecuted share of the GPU-seconds charged.
+        gpu_seconds_ -=
+            sl.gpus * (sl.step_s * static_cast<double>(sl.steps_left) -
+                       (now_ - sl.seg_start));
+
+        JobOutcome &jo = out_.jobs[sl.out];
+        jo.segments.push_back(
+            {jo.segments.empty() ? jo.start_time : sl.seg_start, now_});
+        ++jo.preemptions;
+        ++out_.preemptions;
+        if (tl_preemptions_)
+            tl_preemptions_->add();
+
+        steps_remaining_[sl.req] = left;
+        pred_remaining_[sl.req] =
+            pred_per_step_[sl.req] * static_cast<double>(left);
+        pinned_exec_[sl.req] = sl.executed;
+        enqueue(sl.req);
+        vacate(slot);
+    }
+
+    // Nothing fits: the queue head preempts the running jobs with the
+    // longest predicted remaining time, one at a time, while that is
+    // worth a restart. True once the head is placed and dequeued.
+    bool
+    preemptForHead()
+    {
+        const ShapeQueue::Entry head = queue_.front();
+        while (true) {
+            size_t victim = kNone;
+            double victim_rem = -1.0;
+            for (size_t s = 0; s < slots_.size(); ++s) {
+                const Slot &sl = slots_[s];
+                if (!sl.active ||
+                    out_.jobs[sl.out].preemptions >= cfg_.max_preemptions)
+                    continue;
+                double rem = pred_per_step_[sl.req] *
+                             static_cast<double>(sl.steps_left -
+                                                 completedSteps(sl));
+                if (rem > victim_rem ||
+                    (rem == victim_rem && victim != kNone &&
+                     sl.out < slots_[victim].out)) {
+                    victim = s;
+                    victim_rem = rem;
+                }
+            }
+            if (victim == kNone ||
+                victim_rem <= cfg_.preempt_ratio * head.first)
+                return false;
+            preempt(victim);
+            if (place(head.second)) {
+                queue_.erase(head);
+                return true;
+            }
+        }
+    }
+
+    // Pop every completion due by `now`, stale ones included, and
+    // finish the live ones. A recording timeline advances to each
+    // finish time t, counts t's pops in `sim.events`, then to `now`.
+    void
+    complete()
+    {
+        completed_ = true;
+        obs::Timeline::Rate *tl_events =
+            tl_ ? &tl_->rate("sim.events") : nullptr;
+        while (!completions_.empty() &&
+               std::get<0>(completions_.top()) <= now_) {
+            double t = std::get<0>(completions_.top());
+            if (tl_)
+                tl_->advanceTo(t);
+            uint64_t before = events_;
+            for (; !completions_.empty() &&
+                   std::get<0>(completions_.top()) == t;
+                 ++events_) {
+                auto [finish, seq, slot] = completions_.top();
+                completions_.pop();
+                Slot &sl = slots_[slot];
+                if (!sl.active || sl.seq != seq)
+                    continue; // stale: the job was preempted
+                JobOutcome &jo = out_.jobs[sl.out];
+                if (!jo.segments.empty())
+                    jo.segments.push_back({sl.seg_start, finish});
+                emitRecord(sl.req, jo, sl.executed, sl.alloc);
+                vacate(slot);
+            }
+            if (tl_events)
+                tl_events->add(static_cast<double>(events_ - before));
+        }
+        if (tl_)
+            tl_->advanceTo(now_);
+    }
+
+    // Release @p slot's GPUs and return the slot to the free list.
+    void
+    vacate(size_t slot)
+    {
+        Slot &sl = slots_[slot];
+        cap_.release(sl.alloc);
+        sl.alloc.clear();
+        sl.active = false;
+        free_slots_.push_back(slot);
+    }
+
+    // A record of request @p req as submitted, with the analytical
+    // prediction, that starts and finishes on submission.
+    obs::JobRecord
+    submittedRecord(size_t req) const
+    {
+        const JobRequest &request = requests_[req];
+        obs::JobRecord rec;
+        rec.job_id = request.job.id;
+        rec.source = "clustersim";
+        rec.arch = workload::toString(request.job.arch);
+        rec.num_cnodes = request.job.num_cnodes;
+        rec.num_steps = request.num_steps;
+        rec.executed_arch = rec.arch;
+        rec.submit_s = rec.start_s = rec.finish_s = request.submit_time;
+        core::TimeBreakdown pred = model_.breakdown(request.job);
+        rec.pred_td_s = pred.t_data;
+        rec.pred_tc_flops_s = pred.t_comp_flops;
+        rec.pred_tc_mem_s = pred.t_comp_mem;
+        rec.pred_tw_s = pred.t_weight;
+        rec.pred_step_s = pred.total();
+        return rec;
+    }
+
+    // Record a finished job as executed on @p alloc: porting, slower
+    // generations and preemption show as skew against the prediction.
+    void
+    emitRecord(size_t req, const JobOutcome &jo,
+               const TrainingJob &executed, const Allocation &alloc) const
+    {
+        if (!cfg_.record_job_log || !obs::jobLogActive())
+            return;
+        obs::JobRecord rec = submittedRecord(req);
+        rec.executed_arch = workload::toString(executed.arch);
+        rec.ported = jo.ported;
+        rec.num_cnodes = executed.num_cnodes;
+        rec.gpus = jo.gpus;
+        rec.server = alloc.empty() ? -1 : alloc.front().first;
+        rec.placement_attempts = attempts_[req];
+        rec.start_s = jo.start_time;
+        rec.finish_s = jo.finish_time;
+        core::TimeBreakdown sim = model_.breakdown(executed);
+        rec.sim_td_s = sim.t_data;
+        rec.sim_tc_s = sim.compute();
+        rec.sim_tw_s = sim.t_weight;
+        rec.sim_step_s = jo.step_s;
+        obs::recordJob(std::move(rec));
+    }
+
+    // Set the timeline levels to the cluster at `now`; each window
+    // reports the last state set before time crossed its end.
+    void
+    sampleLevels()
+    {
+        if (!tl_)
+            return;
+        tl_pending_->set(static_cast<double>(queue_.size()));
+        tl_running_->set(
+            static_cast<double>(slots_.size() - free_slots_.size()));
+        tl_free_gpus_->set(static_cast<double>(cap_.total_free));
+    }
+
+    const ClusterScheduler &sched_;
+    const SchedulerConfig &cfg_;
+    const core::AnalyticalModel &model_;
+    const std::vector<JobRequest> &requests_;
+    const bool spf_order_;
+    bool reserving_ = false;
+    obs::Counter &placement_attempts_ =
+        obs::counter("clustersim.placement_attempts");
+    obs::Counter &placement_failures_ =
+        obs::counter("clustersim.placement_failures");
+
+    std::optional<obs::TimelineSuspend> tl_suspend_;
+    obs::Timeline *tl_ = nullptr;
+    obs::Timeline::Level *tl_pending_ = nullptr, *tl_running_ = nullptr,
+                         *tl_free_gpus_ = nullptr;
+    obs::Timeline::Rate *tl_arrivals_ = nullptr,
+                        *tl_preemptions_ = nullptr,
+                        *tl_unplaceable_ = nullptr;
+
+    Capacity cap_;
+    ShapeQueue queue_;
+    std::vector<Slot> slots_;
+    std::vector<size_t> free_slots_;
+    std::priority_queue<Completion, std::vector<Completion>,
+                        std::greater<>>
+        completions_;
+    uint64_t next_seq_ = 0;
+    uint64_t events_ = 0; // completions popped, stale ones included
+    bool completed_ = false; // reports sim.events_executed once set
+
+    // Per request: step time as submitted, predicted run, per-step and
+    // remaining seconds, steps left, attempts, outcome, pinned plan.
+    std::vector<double> submitted_step_, pred_run_, pred_per_step_,
+        pred_remaining_;
+    std::vector<int64_t> steps_remaining_, attempts_;
+    std::vector<size_t> out_index_;
+    std::vector<std::optional<TrainingJob>> pinned_exec_;
+
+    ClusterOutcome out_;
+    size_t arrival_ = 0;
+    double now_ = 0.0;
+    double gpu_seconds_ = 0.0;
+    // The last placed job's release in the reservation replay.
+    double placed_release_ = kInf;
+};
+
 } // namespace
 
 ClusterScheduler::ClusterScheduler(const SchedulerConfig &cfg,
@@ -511,585 +1079,12 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
 {
     obs::Span run_span("clustersim.run",
                        static_cast<int64_t>(requests.size()));
-    static obs::Counter &placement_attempts =
-        obs::counter("clustersim.placement_attempts");
-    static obs::Counter &placement_failures =
-        obs::counter("clustersim.placement_failures");
-
     std::stable_sort(requests.begin(), requests.end(),
                      [](const JobRequest &a, const JobRequest &b) {
                          return a.submit_time < b.submit_time;
                      });
-
-    Capacity cap(cfg_.num_servers, cfg_.gpus_per_server);
-    int nvl_servers = static_cast<int>(cfg_.num_servers *
-                                       cfg_.nvlink_fraction);
-    for (int s = 0; s < nvl_servers; ++s)
-        cap.nvlink[static_cast<size_t>(s)] = true;
-    // Heterogeneous generations occupy the tail of the server range,
-    // clamped so they never eat into the NVLink head: placeable()
-    // promises nvl_servers NVLink servers and admission relies on it.
-    int old_servers =
-        std::min(static_cast<int>(cfg_.num_servers *
-                                  cfg_.old_gen_fraction),
-                 cfg_.num_servers - nvl_servers);
-    const auto generations = hw::paiGenerations();
-    int old_gens = static_cast<int>(generations.size()) - 1;
-    for (int k = 0; k < old_servers && old_gens > 0; ++k) {
-        const hw::GpuGeneration &g =
-            generations[static_cast<size_t>(1 + k % old_gens)];
-        auto s = static_cast<size_t>(cfg_.num_servers - 1 - k);
-        cap.speed[s] = g.speed;
-        cap.nvlink[s] = cap.nvlink[s] && g.has_nvlink;
-    }
-    cap.countServers(cfg_.gpus_per_server);
-
-    // Completion events run on one discrete-event queue.
-    sim::EventQueue eq;
-
-    // Timeline probes: scheduler-loop observations sampled at the
-    // simulated-time cadence (levels are "as seen by the control
-    // loop" at each pass; rates count admissions/preemptions/drops).
-    // A record_timeline=false run (the FIFO comparison) suspends the
-    // process-wide timeline so the queue's `sim.events` probe stays
-    // quiet too.
-    std::optional<obs::TimelineSuspend> tl_suspend;
-    if (!cfg_.record_timeline)
-        tl_suspend.emplace();
-    obs::Timeline *tl =
-        obs::timelineActive() ? obs::timeline() : nullptr;
-    obs::Timeline::Level *tl_pending =
-        tl ? &tl->level("clustersim.pending_jobs") : nullptr;
-    obs::Timeline::Level *tl_running =
-        tl ? &tl->level("clustersim.running_jobs") : nullptr;
-    obs::Timeline::Level *tl_free_gpus =
-        tl ? &tl->level("clustersim.free_gpus") : nullptr;
-    obs::Timeline::Rate *tl_arrivals =
-        tl ? &tl->rate("clustersim.arrivals") : nullptr;
-    obs::Timeline::Rate *tl_preemptions =
-        tl ? &tl->rate("clustersim.preemptions") : nullptr;
-    obs::Timeline::Rate *tl_unplaceable =
-        tl ? &tl->rate("clustersim.unplaceable") : nullptr;
-
-    // In-flight jobs, indexed by slot; finished slots are recycled
-    // through a free list so long traces do not grow the table past
-    // the peak concurrency. The generation counter invalidates the
-    // completion event of a preempted job: the stale event still
-    // fires but its (slot, gen) pair no longer matches.
-    struct Slot
-    {
-        Allocation alloc;
-        TrainingJob executed;
-        size_t req = 0;
-        size_t out = 0;
-        double seg_start = 0.0;
-        double step_s = 0.0;
-        double pred_finish = kInf;
-        int64_t steps_left = 0;
-        uint64_t gen = 0;
-        int gpus = 0;
-        bool active = false;
-    };
-    std::vector<Slot> slots;
-    std::vector<size_t> free_slots;
-    // (slot, gen) pairs whose completion fired in the last drain.
-    std::vector<std::pair<size_t, uint64_t>> finished;
-
-    ClusterOutcome out;
-    out.jobs.reserve(requests.size());
-    // Queued requests (indices into requests), keyed by predicted
-    // remaining seconds under spf and spf-preempt and by arrival under
-    // the others, which never re-queue a job.
-    const bool spf_order = cfg_.policy == Policy::Spf ||
-                           cfg_.policy == Policy::SpfPreempt;
-    ShapeQueue queue(requests.size());
-    size_t arrival = 0;
-    double now = 0.0;
-    double gpu_seconds = 0.0;
-    int running = 0; // active slots
-
-    // Refresh the timeline level probes with the control loop's view
-    // of the cluster at `now`. Last-set-wins within a window, so the
-    // value sampled at each window close is the state just before
-    // time crossed the boundary.
-    auto sampleLevels = [&] {
-        if (!tl)
-            return;
-        tl_pending->set(static_cast<double>(queue.size()));
-        tl_running->set(static_cast<double>(running));
-        tl_free_gpus->set(static_cast<double>(cap.total_free));
-    };
-
-    // As-submitted step times are pure per-job model evaluations:
-    // price them up front in parallel. Ported placements execute a
-    // different architecture and are priced on demand.
-    std::vector<double> submitted_step = runtime::parallelMap<double>(
-        runtime::globalPool(), requests.size(), [&](size_t i) {
-            return model_.stepTime(requests[i].job);
-        });
-
-    // Predicted run seconds per request (policy ordering input): the
-    // analytical prediction, replaced by the configured predictor's
-    // under the policies that read predictions.
-    const bool wants_predictions =
-        predictionDriven(cfg_.policy) ||
-        (cfg_.policy == Policy::Backfill && cfg_.predictor);
-    std::vector<double> pred_run(requests.size());
-    std::vector<double> pred_per_step(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-        pred_run[i] = submitted_step[i] *
-                      static_cast<double>(requests[i].num_steps);
-    }
-    if (wants_predictions && cfg_.predictor) {
-        pred_run = runtime::parallelMap<double>(
-            runtime::globalPool(), requests.size(), [&](size_t i) {
-                double p = cfg_.predictor(requests[i].job,
-                                          requests[i].num_steps,
-                                          pred_run[i]);
-                return std::isfinite(p) && p >= 0.0 ? p : pred_run[i];
-            });
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-        pred_per_step[i] =
-            pred_run[i] / static_cast<double>(requests[i].num_steps);
-    }
-    // Predicted *remaining* run seconds; shrinks when a preempted
-    // job is re-queued with only its unfinished steps.
-    std::vector<double> pred_remaining = pred_run;
-
-    // Per-request mutable state across preemption/restart cycles.
-    std::vector<int64_t> steps_remaining(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i)
-        steps_remaining[i] = requests[i].num_steps;
-    std::vector<int64_t> attempts(requests.size(), 0);
-    constexpr size_t kNoOutcome = static_cast<size_t>(-1);
-    std::vector<size_t> out_index(requests.size(), kNoOutcome);
-    // A restarted job resumes its pinned execution plan (same
-    // architecture/porting decision), as a checkpoint restore would.
-    std::vector<std::optional<TrainingJob>> pinned_exec(
-        requests.size());
-
-    // A first start of an eligible PS/Worker job tries an
-    // AllReduce-Local port before its own placement.
-    auto portable = [&](const TrainingJob &job) {
-        return cfg_.port_ps_to_allreduce &&
-               job.arch == ArchType::PsWorker &&
-               job.features.weightBytes() <= cfg_.gpu_memory_bytes;
-    };
-
-    // Queue a request under the policy's key. Its shape is what
-    // tryPlace() searches for: a restart's pinned plan, else the job
-    // as submitted plus whether it may port. Pinned and unpinned
-    // plans of one arch and size search identically.
-    auto enqueue = [&](size_t req_index) {
-        const TrainingJob &job = pinned_exec[req_index]
-                                     ? *pinned_exec[req_index]
-                                     : requests[req_index].job;
-        bool port = !pinned_exec[req_index] && portable(job);
-        double key = spf_order ? pred_remaining[req_index]
-                               : static_cast<double>(req_index);
-        queue.push({port, static_cast<int>(job.arch), job.num_cnodes},
-                   {key, req_index});
-    };
-
-    // A job record's identity and the analytical prediction for the
-    // job as submitted, the fields every record shares.
-    auto submittedRecord = [&](size_t req_index) {
-        const JobRequest &req = requests[req_index];
-        obs::JobRecord rec;
-        rec.job_id = req.job.id;
-        rec.source = "clustersim";
-        rec.arch = workload::toString(req.job.arch);
-        rec.num_cnodes = req.job.num_cnodes;
-        rec.num_steps = req.num_steps;
-        rec.submit_s = req.submit_time;
-        core::TimeBreakdown pred = model_.breakdown(req.job);
-        rec.pred_td_s = pred.t_data;
-        rec.pred_tc_flops_s = pred.t_comp_flops;
-        rec.pred_tc_mem_s = pred.t_comp_mem;
-        rec.pred_tw_s = pred.t_weight;
-        rec.pred_step_s = pred.total();
-        return rec;
-    };
-
-    auto emitJobRecord = [&](size_t req_index, const JobOutcome &jo,
-                             const TrainingJob &executed,
-                             int server) {
-        if (!cfg_.record_job_log || !obs::jobLogActive())
-            return;
-        // Predicted = the job as submitted; simulated = the job as
-        // executed under its actual placement, so porting, generation
-        // slowdown and preemption effects become the recorded skew.
-        obs::JobRecord rec = submittedRecord(req_index);
-        rec.executed_arch = workload::toString(executed.arch);
-        rec.ported = jo.ported;
-        rec.num_cnodes = executed.num_cnodes;
-        rec.gpus = jo.gpus;
-        rec.server = server;
-        rec.placement_attempts = attempts[req_index];
-        rec.start_s = jo.start_time;
-        rec.finish_s = jo.finish_time;
-        core::TimeBreakdown sim = model_.breakdown(executed);
-        rec.sim_td_s = sim.t_data;
-        rec.sim_tc_s = sim.compute();
-        rec.sim_tw_s = sim.t_weight;
-        rec.sim_step_s = jo.step_s;
-        obs::recordJob(std::move(rec));
-    };
-
-    // When the last placed job frees its GPUs in the reservation
-    // replay (+inf: never).
-    double placed_release = kInf;
-
-    // Attempt to place one request; on success records/updates the
-    // outcome and consumes capacity.
-    auto tryPlace = [&](size_t req_index) -> bool {
-        const JobRequest &req = requests[req_index];
-        placement_attempts.add();
-        ++attempts[req_index];
-        const TrainingJob &job = req.job;
-        Allocation alloc;
-        // The plan to execute; a ported plan is built only once its
-        // placement is found.
-        const TrainingJob *plan = &job;
-        std::optional<TrainingJob> ported_plan;
-
-        if (pinned_exec[req_index]) {
-            // Restart after preemption: resume the recorded plan.
-            plan = &*pinned_exec[req_index];
-        } else if (portable(job)) {
-            int n = std::min(job.num_cnodes, cfg_.gpus_per_server);
-            if (findOneServer(cap, n, /*need_nvlink=*/true,
-                              cfg_.placement, &alloc)) {
-                ported_plan.emplace(job);
-                ported_plan->arch = ArchType::AllReduceLocal;
-                ported_plan->num_cnodes = n;
-                ported_plan->num_ps = 0;
-                plan = &*ported_plan;
-            }
-        }
-        if (!ported_plan && !findFor(cap, *plan, cfg_, &alloc)) {
-            placement_failures.add();
-            return false;
-        }
-        const TrainingJob &executed = *plan;
-        bool ported = executed.arch != job.arch;
-
-        cap.take(alloc);
-        double base_step = ported ? model_.stepTime(executed)
-                                  : submitted_step[req_index];
-        // Older generations stretch every step by 1/speed.
-        double step = base_step / cap.slowestSpeed(alloc);
-        int64_t steps_left = steps_remaining[req_index];
-        double runtime = step * static_cast<double>(steps_left);
-        int gpus = 0;
-        for (auto [s, g] : alloc) {
-            (void)s;
-            gpus += g;
-        }
-
-        size_t oi = out_index[req_index];
-        if (oi == kNoOutcome) {
-            JobOutcome jo;
-            jo.job_id = job.id;
-            jo.submit_time = req.submit_time;
-            jo.start_time = now;
-            jo.finish_time = now + runtime;
-            jo.executed_arch = executed.arch;
-            jo.ported = ported;
-            jo.gpus = gpus;
-            jo.step_s = step;
-            jo.num_steps = req.num_steps;
-            jo.predicted_run_s = pred_run[req_index];
-            oi = out.jobs.size();
-            out_index[req_index] = oi;
-            out.jobs.push_back(std::move(jo));
-            out.ported_jobs += ported;
-        } else {
-            // Restart: keep first-start fields, refresh execution.
-            JobOutcome &jo = out.jobs[oi];
-            jo.finish_time = now + runtime;
-            jo.step_s = step;
-            jo.gpus = gpus;
-        }
-        gpu_seconds += gpus * runtime;
-
-        if (std::isfinite(runtime)) {
-            size_t slot;
-            if (!free_slots.empty()) {
-                slot = free_slots.back();
-                free_slots.pop_back();
-            } else {
-                slot = slots.size();
-                slots.push_back(Slot{});
-            }
-            Slot &sl = slots[slot];
-            sl.alloc = std::move(alloc);
-            sl.executed = executed;
-            sl.req = req_index;
-            sl.out = oi;
-            sl.seg_start = now;
-            sl.step_s = step;
-            sl.steps_left = steps_left;
-            sl.pred_finish = now + pred_per_step[req_index] *
-                                       static_cast<double>(steps_left);
-            placed_release = sl.pred_finish;
-            sl.gpus = gpus;
-            sl.active = true;
-            ++running;
-            uint64_t gen = ++sl.gen;
-            eq.schedule(now + runtime, [&finished, slot, gen] {
-                finished.push_back({slot, gen});
-            });
-        } else {
-            // A non-finite finish never fires: the job holds its
-            // GPUs forever, exactly as the old priority-queue loop
-            // (which broke out before ever popping it) behaved. The
-            // outcome is final, so the record is emitted here.
-            placed_release = kInf;
-            emitJobRecord(req_index, out.jobs[oi], executed,
-                          alloc.empty() ? -1 : alloc.front().first);
-        }
-        return true;
-    };
-
-    // Earliest predicted time the queue head could start, assuming
-    // running jobs release at their *predicted* finishes (EASY
-    // backfill's reservation). +inf when some blocking job never
-    // finishes.
-    auto reservationTime = [&](size_t head_req) -> double {
-        Capacity sim_cap = cap;
-        Allocation scratch;
-        std::vector<std::pair<double, size_t>> releases;
-        for (size_t s = 0; s < slots.size(); ++s) {
-            if (slots[s].active)
-                releases.push_back({slots[s].pred_finish, s});
-        }
-        std::sort(releases.begin(), releases.end(),
-                  [&](const auto &a, const auto &b) {
-                      if (a.first != b.first)
-                          return a.first < b.first;
-                      return slots[a.second].out < slots[b.second].out;
-                  });
-        const TrainingJob &job = requests[head_req].job;
-        for (auto [t, s] : releases) {
-            if (!std::isfinite(t))
-                break;
-            sim_cap.release(slots[s].alloc);
-            if (findFor(sim_cap, job, cfg_, &scratch))
-                return std::max(now, t);
-        }
-        return kInf;
-    };
-
-    // Steps a running slot has completed by `now`, leaving at least
-    // one step to redo.
-    auto completedSteps = [&](const Slot &sl) {
-        auto done = static_cast<int64_t>(
-            std::floor((now - sl.seg_start) / sl.step_s + 1e-9));
-        return std::clamp<int64_t>(done, 0, sl.steps_left - 1);
-    };
-
-    // Preempt the running job in @p slot at `now`, re-queueing its
-    // remaining steps. Work conservation: completed steps stay
-    // completed; only the partial step in flight is redone.
-    auto preempt = [&](size_t slot) {
-        Slot &sl = slots[slot];
-        assert(sl.active);
-        int64_t left = sl.steps_left - completedSteps(sl);
-
-        // Return the unexecuted share of the GPU-seconds charged at
-        // placement.
-        gpu_seconds -=
-            sl.gpus * (sl.step_s * static_cast<double>(sl.steps_left) -
-                       (now - sl.seg_start));
-        cap.release(sl.alloc);
-
-        JobOutcome &jo = out.jobs[sl.out];
-        if (jo.segments.empty())
-            jo.segments.push_back({jo.start_time, now});
-        else
-            jo.segments.push_back({sl.seg_start, now});
-        ++jo.preemptions;
-        ++out.preemptions;
-        if (tl_preemptions)
-            tl_preemptions->add();
-
-        steps_remaining[sl.req] = left;
-        pred_remaining[sl.req] =
-            pred_per_step[sl.req] * static_cast<double>(left);
-        pinned_exec[sl.req] = sl.executed;
-        enqueue(sl.req);
-
-        ++sl.gen; // invalidate the in-flight completion event
-        sl.active = false;
-        --running;
-        sl.alloc.clear();
-        free_slots.push_back(slot);
-    };
-
-    // Nothing fits: let the queue head @p head preempt the running
-    // jobs with the longest predicted remaining time, one at a time,
-    // while the imbalance is worth a restart. True once the head is
-    // placed (and dequeued).
-    auto preemptFor = [&](ShapeQueue::Entry head) -> bool {
-        while (true) {
-            size_t victim = static_cast<size_t>(-1);
-            double victim_rem = -1.0;
-            for (size_t s = 0; s < slots.size(); ++s) {
-                const Slot &sl = slots[s];
-                if (!sl.active)
-                    continue;
-                if (out.jobs[sl.out].preemptions >=
-                    cfg_.max_preemptions) {
-                    continue;
-                }
-                double rem =
-                    pred_per_step[sl.req] *
-                    static_cast<double>(sl.steps_left - completedSteps(sl));
-                if (rem > victim_rem ||
-                    (rem == victim_rem &&
-                     victim != static_cast<size_t>(-1) &&
-                     sl.out < slots[victim].out)) {
-                    victim = s;
-                    victim_rem = rem;
-                }
-            }
-            if (victim == static_cast<size_t>(-1) ||
-                victim_rem <= cfg_.preempt_ratio * head.first) {
-                return false;
-            }
-            preempt(victim);
-            if (tryPlace(head.second)) {
-                queue.erase(head);
-                return true;
-            }
-        }
-    };
-
-    // One scheduling pass over the queue at time `now`, under the
-    // configured policy. Returns when no further job can start.
-    const bool reserving = !spf_order && wants_predictions; // EASY, gang
-    const bool gang = cfg_.policy == Policy::Gang;
-    auto never = [](const auto &) { return false; };
-    auto schedulePass = [&] {
-        // 1. Fifo, backfill and gang start the queue head while it
-        // fits. Fifo stops behind a blocked head.
-        std::optional<Shape> blocked;
-        if (!spf_order) {
-            while (!queue.empty() && tryPlace(queue.front().second))
-                queue.erase(queue.front());
-            if (cfg_.policy == Policy::Fifo || queue.empty())
-                return;
-            blocked = queue.shapeOf(queue.front().second);
-        }
-        // 2. One pass places every other job that fits, in queue
-        // order. Backfill and gang skip the blocked head's shape, gang
-        // every multi-cNode shape, and EASY and gang every job
-        // predicted to run past the head's reservation t_res. A job
-        // started in the pass frees its GPUs in the reservation replay
-        // by t_res, so t_res holds (DESIGN.md Sec 13) -- except at an
-        // exact tie, where pred_per_step x steps can land an ulp past
-        // it, or for a job that never finishes. Then t_res may move
-        // and let a skipped job start, so the pass is dropped and a
-        // new one starts from a recomputed t_res, as the old rescan
-        // did.
-        for (bool moved = true; moved;) {
-            moved = false;
-            double t_res =
-                reserving ? reservationTime(queue.front().second) : kInf;
-            queue.pass(
-                [&](const Shape &shape) {
-                    return shape == blocked || (gang && shape.cnodes > 1);
-                },
-                [&](size_t r) {
-                    return reserving && now + pred_remaining[r] > t_res;
-                },
-                [&](size_t r) {
-                    if (moved || !tryPlace(r))
-                        return false;
-                    moved = !(placed_release <= t_res);
-                    return true;
-                });
-        }
-        // 3. Nothing fits now, which is where spf-preempt may free
-        // capacity for the queue head; a head placed that way changes
-        // capacity, so another pass follows.
-        while (cfg_.policy == Policy::SpfPreempt && !queue.empty() &&
-               preemptFor(queue.front())) {
-            queue.pass(never, never, tryPlace);
-        }
-    };
-
-    while (arrival < requests.size() || !queue.empty() ||
-           eq.pending() > 0) {
-        // Admit all submissions up to `now`, dropping jobs the
-        // cluster can never host (e.g. more cNodes than NVLink
-        // capacity). Admitting them would starve the queue forever
-        // under FIFO -- this must hold in release builds too, so it
-        // is a counted drop rather than an assert.
-        while (arrival < requests.size() &&
-               requests[arrival].submit_time <= now) {
-            if (placeable(requests[arrival].job)) {
-                enqueue(arrival);
-                if (tl_arrivals)
-                    tl_arrivals->add();
-            } else {
-                ++out.unplaceable_jobs;
-                if (tl_unplaceable)
-                    tl_unplaceable->add();
-                obs::counter("clustersim.unplaceable_jobs").add();
-                if (cfg_.record_job_log && obs::jobLogActive()) {
-                    obs::JobRecord rec = submittedRecord(arrival);
-                    rec.status = "dropped";
-                    rec.executed_arch = rec.arch;
-                    rec.start_s = rec.submit_s;
-                    rec.finish_s = rec.submit_s;
-                    obs::recordJob(std::move(rec));
-                }
-            }
-            ++arrival;
-        }
-
-        // Schedule from the queue under the policy.
-        schedulePass();
-        sampleLevels();
-
-        // Advance time to the next event.
-        double next = std::numeric_limits<double>::infinity();
-        if (arrival < requests.size())
-            next = requests[arrival].submit_time;
-        next = std::min(next, eq.nextEventTime());
-        if (!std::isfinite(next))
-            break; // queue non-empty but nothing can ever finish
-        now = std::max(now, next);
-
-        // Fire every completion up to `now` and release its GPUs. A
-        // (slot, gen) pair that no longer matches belongs to a
-        // preempted-and-restarted job: its stale event is a no-op.
-        eq.runUntil(now);
-        for (auto [slot, gen] : finished) {
-            Slot &sl = slots[slot];
-            if (!sl.active || sl.gen != gen)
-                continue;
-            cap.release(sl.alloc);
-            JobOutcome &jo = out.jobs[sl.out];
-            if (!jo.segments.empty())
-                jo.segments.push_back({sl.seg_start, jo.finish_time});
-            emitJobRecord(sl.req, jo, sl.executed,
-                          sl.alloc.empty() ? -1
-                                           : sl.alloc.front().first);
-            sl.active = false;
-            --running;
-            sl.alloc.clear();
-            free_slots.push_back(slot);
-        }
-        finished.clear();
-        sampleLevels();
-    }
-    // Every admitted job is placeable on an empty cluster, so the
-    // queue always drains once the running set does.
-    assert(queue.empty() && "placeable job starved the queue");
+    SchedulerRun sim(*this, cfg_, model_, requests);
+    ClusterOutcome out = sim.loop();
 
     // Aggregate metrics.
     obs::counter("clustersim.jobs_scheduled").add(out.jobs.size());
@@ -1111,7 +1106,7 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         double total =
             static_cast<double>(cfg_.num_servers) *
             cfg_.gpus_per_server * out.makespan;
-        out.gpu_utilization = total > 0.0 ? gpu_seconds / total : 0.0;
+        out.gpu_utilization = total > 0.0 ? sim.gpuSeconds() / total : 0.0;
     }
     return out;
 }

@@ -123,7 +123,7 @@ TEST_F(GoldenCliTest, ScheduleSpf)
                   "--compare-fifo", "1"});
 }
 
-// spf-preempt exercises the generation-checked finish events and
+// spf-preempt exercises the stale-completion check and the
 // restart-from-last-step path; determinism here means preemption
 // decisions are identical at every thread count.
 TEST_F(GoldenCliTest, ScheduleSpfPreempt)
