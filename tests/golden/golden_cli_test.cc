@@ -250,5 +250,16 @@ TEST_F(GoldenCliTest, ServeSloTimeline)
                  {"serve_tl.csv"});
 }
 
+// The capacity search's probes record nothing: the timeline holds
+// only the final run at the size the search found.
+TEST_F(GoldenCliTest, CapacityTimeline)
+{
+    expectGolden("capacity_timeline",
+                 {"capacity", "resnet50", "--qps", "3000", "--slo-ms",
+                  "40", "--requests", "8000", "--timeline",
+                  "cap_tl.csv", "--timeline-interval", "1"},
+                 {"cap_tl.csv"});
+}
+
 } // namespace
 } // namespace paichar::testkit
