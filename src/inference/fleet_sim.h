@@ -45,10 +45,12 @@
  * timeline read running up/queued counts (fleet_index.h). Ties break
  * toward the lower server index, as the scans they replaced did.
  *
- * Completed requests' latencies are published to the obs histogram
- * registry (`inference.fleet.latency_us`) in one batch at the end of
- * each run, so p50/p99/p999 appear in --metrics / OpenMetrics output
- * for free.
+ * Each FleetSimulator::run publishes its completed requests'
+ * latencies to the obs histogram registry
+ * (`inference.fleet.latency_us`) in one batch at its end, so
+ * p50/p99/p999 appear in --metrics / OpenMetrics output for free. The
+ * SLO searches' probes publish nothing there: only the run the user
+ * asked about is in the fleet metrics.
  *
  * Input validation is real error handling (std::invalid_argument in
  * release builds too), not asserts, and the overload verdict is
@@ -187,13 +189,6 @@ struct FleetConfig
     AutoscalerConfig autoscaler;
     /** Record a per-request log in the result (testkit oracle). */
     bool record_requests = false;
-    /**
-     * Record timeline probes (servers up, queued, arrival/reject/
-     * completion rates, windowed latency quantiles) when a timeline
-     * is active. Capacity bisection probes turn this off so only the
-     * run the user asked about lands in the exported timeline.
-     */
-    bool record_timeline = true;
 };
 
 /** One served model and the arrival stream offering load for it. */
@@ -297,12 +292,14 @@ class FleetSimulator
 };
 
 /*
- * The two SLO searches. Each probe runs @p cfg with the autoscaler,
- * the request log and the timeline off (capacity planning wants a
- * fixed fleet, and only the run the user asked about belongs in the
- * exported timeline), and passes only on a Stable verdict, zero
- * rejections and p99 <= slo: an undersampled or saturating probe can
- * luck under the line. Both throw std::invalid_argument when slo is
+ * The two SLO searches. Each probe runs @p cfg with the autoscaler
+ * and the request log off (capacity planning wants a fixed fleet) and
+ * passes only on a Stable verdict, zero rejections and p99 <= slo: an
+ * undersampled or saturating probe can luck under the line. Probes
+ * record no timeline and publish no `inference.fleet.*` metrics, so
+ * only the run the user asked about lands in either; each search
+ * counts its probes (`inference.fleet.capacity_probes`,
+ * `inference.slo_probes`). Both throw std::invalid_argument when slo is
  * not positive and finite, or when a probe would have fewer than
  * kMinSaturationSamples requests (it could not judge saturation and
  * could certify an overloaded operating point).

@@ -250,10 +250,10 @@ Timeline *timeline();
 
 /**
  * RAII: deactivate the timeline for a scope, restoring the previous
- * state on exit. Simulator runs with `record_timeline = false` (the
- * FIFO comparison run, capacity bisection probes) wrap themselves in
- * one so their events never pollute the exported timeline. Driver
- * thread only, like start/stop.
+ * state on exit. The scheduler's FIFO comparison run
+ * (`record_timeline = false`) and each fleet SLO search, around all
+ * of its probes, hold one so their events never pollute the exported
+ * timeline. Driver thread only, like start/stop.
  */
 class TimelineSuspend
 {

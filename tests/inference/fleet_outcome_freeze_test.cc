@@ -118,7 +118,6 @@ freezeCases()
 {
     FleetConfig base;
     base.record_requests = true;
-    base.record_timeline = false;
 
     std::vector<FreezeCase> cases;
     // Above batch-1 capacity, so queues form and batches fill; the

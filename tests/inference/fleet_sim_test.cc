@@ -15,6 +15,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "inference/fleet_sim.h"
 #include "obs/obs.h"
@@ -375,6 +376,41 @@ TEST(FleetSimTest, LatencyFlowsIntoObsHistogram)
     // Microsecond scaling keeps sub-second latencies out of the
     // bucket-0 catch-all: the p50 bucket bound must be > 1.
     EXPECT_GT(h.quantile(0.5), 1.0);
+}
+
+// Only the served run reaches --metrics: the SLO searches count their
+// probes but publish none of the probes' requests or latencies.
+TEST(FleetSimTest, SloSearchProbesPublishNoFleetMetrics)
+{
+    const char *fleet_counters[] = {
+        "inference.fleet.requests", "inference.fleet.rejected",
+        "inference.fleet.batches", "inference.fleet.scale_events"};
+    std::vector<uint64_t> before;
+    for (const char *name : fleet_counters)
+        before.push_back(obs::counter(name).value());
+    obs::Histogram &h = obs::histogram("inference.fleet.latency_us");
+    uint64_t hist_before = h.count();
+    uint64_t capacity_before =
+        obs::counter("inference.fleet.capacity_probes").value();
+    uint64_t slo_before = obs::counter("inference.slo_probes").value();
+
+    FleetConfig cfg;
+    ASSERT_TRUE(minServersForSlo(cfg, constantLoad(3000.0), 0.040, 16,
+                                 2000, 20190701)
+                    .has_value());
+    EXPECT_GT(maxQpsUnderSlo(cfg, resnetServing(), 0.040, 20000.0, 2000,
+                             20190701),
+              0.0);
+
+    for (size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(obs::counter(fleet_counters[i]).value(), before[i])
+            << fleet_counters[i];
+    }
+    EXPECT_EQ(h.count(), hist_before);
+    EXPECT_GT(obs::counter("inference.fleet.capacity_probes").value(),
+              capacity_before);
+    EXPECT_EQ(obs::counter("inference.slo_probes").value(),
+              slo_before + 26);
 }
 
 TEST(FleetSimTest, CapacityBisectionFindsMinimalStableFleet)
