@@ -289,21 +289,6 @@ EventQueue::scheduleAfter(SimTime delay, std::function<void()> fn)
     schedule(now_ + delay, std::move(fn));
 }
 
-SimTime
-EventQueue::nextEventTime()
-{
-    if (!refillFront())
-        return kInf;
-    return front_.front().when;
-}
-
-void
-EventQueue::advanceTo(SimTime t)
-{
-    if (t > now_)
-        now_ = t;
-}
-
 void
 EventQueue::executeTop()
 {
@@ -323,7 +308,7 @@ EventQueue::run()
     obs::Span span("sim.run");
     uint64_t before = executed_;
     if (obs::timelineActive())
-        drainRecorded(kInf);
+        drainRecorded();
     else
         while (refillFront())
             executeTop();
@@ -331,31 +316,15 @@ EventQueue::run()
     return now_;
 }
 
-SimTime
-EventQueue::runUntil(SimTime until)
-{
-    obs::Span span("sim.run_until");
-    uint64_t before = executed_;
-    if (obs::timelineActive())
-        drainRecorded(until);
-    else
-        while (refillFront() && front_.front().when <= until)
-            executeTop();
-    if (now_ < until)
-        now_ = until;
-    finishDrain(span, executed_ - before);
-    return now_;
-}
-
 void
-EventQueue::drainRecorded(SimTime until)
+EventQueue::drainRecorded()
 {
     // One distinct timestamp per step: close every window ending at
     // or before t, run t's events (including any they schedule at
     // t), then attribute their count to t's window.
     obs::Timeline &tl = *obs::timeline();
     obs::Timeline::Rate &events = tl.rate("sim.events");
-    while (refillFront() && front_.front().when <= until) {
+    while (refillFront()) {
         SimTime t = front_.front().when;
         tl.advanceTo(t);
         uint64_t before = executed_;
@@ -363,8 +332,6 @@ EventQueue::drainRecorded(SimTime until)
             executeTop();
         events.add(static_cast<double>(executed_ - before));
     }
-    if (std::isfinite(until))
-        tl.advanceTo(until);
 }
 
 void

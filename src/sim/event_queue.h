@@ -81,30 +81,11 @@ class EventQueue
      * Run events until the queue drains; returns the time of the last
      * event (or now() if none ran).
      *
-     * While obs::timelineActive(), run() and runUntil() step one
-     * distinct timestamp at a time and add each timestamp's executed
-     * count to the timeline's `sim.events` rate (DESIGN.md Sec 12).
+     * While obs::timelineActive(), run() steps one distinct timestamp
+     * at a time and adds each timestamp's executed count to the
+     * timeline's `sim.events` rate (DESIGN.md Sec 12).
      */
     SimTime run();
-
-    /**
-     * Run events with time <= @p until, then advance now() (and a
-     * recording timeline) to @p until; pending later events remain.
-     */
-    SimTime runUntil(SimTime until);
-
-    /**
-     * Earliest pending event time; +infinity when empty. Amortized
-     * O(1) (may migrate handles between internal levels, hence
-     * non-const).
-     */
-    SimTime nextEventTime();
-
-    /**
-     * Advance now() to @p t without executing events (no-op when
-     * t <= now()).
-     */
-    void advanceTo(SimTime t);
 
     /** Total events executed since construction. */
     uint64_t executed() const { return executed_; }
@@ -131,8 +112,8 @@ class EventQueue
     /** Pop and execute the earliest event (front must be non-empty). */
     void executeTop();
 
-    /** The timeline-recording drain loop of run()/runUntil(). */
-    void drainRecorded(SimTime until);
+    /** The timeline-recording drain loop of run(). */
+    void drainRecorded();
 
     /** Record per-drain obs metrics and close the drain span. */
     void finishDrain(obs::Span &span, uint64_t executed_delta);
