@@ -2,29 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
+
+#include "json_util.h"
 
 namespace paichar::obs {
 
 namespace {
-
-/** snprintf into a std::string, growing to fit (never truncates). */
-template <typename... Args>
-std::string
-format(const char *fmt, Args... args)
-{
-    char buf[160];
-    int n = std::snprintf(buf, sizeof buf, fmt, args...);
-    if (n < 0)
-        return {};
-    if (static_cast<size_t>(n) < sizeof buf)
-        return std::string(buf, static_cast<size_t>(n));
-    std::string s(static_cast<size_t>(n), '\0');
-    std::snprintf(s.data(), s.size() + 1, fmt, args...);
-    return s;
-}
 
 /** Nearest-rank percentile of an ascending-sorted vector. */
 double

@@ -1,30 +1,8 @@
 #include "obs.h"
 
-#include <cstdio>
-
 #include "json_util.h"
 
 namespace paichar::obs {
-
-namespace {
-
-/** snprintf into a std::string, growing to fit (never truncates). */
-template <typename... Args>
-std::string
-format(const char *fmt, Args... args)
-{
-    char buf[128];
-    int n = std::snprintf(buf, sizeof buf, fmt, args...);
-    if (n < 0)
-        return {};
-    if (static_cast<size_t>(n) < sizeof buf)
-        return std::string(buf, static_cast<size_t>(n));
-    std::string s(static_cast<size_t>(n), '\0');
-    std::snprintf(s.data(), s.size() + 1, fmt, args...);
-    return s;
-}
-
-} // namespace
 
 std::string
 renderMetricsSummary()

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 
 namespace paichar::obs {
@@ -69,6 +70,26 @@ appendJsonNumber(std::string &out, int64_t v)
     char buf[24];
     auto res = std::to_chars(buf, buf + sizeof buf, v);
     out.append(buf, res.ptr);
+}
+
+std::string
+format(const char *fmt, ...)
+{
+    va_list args, copy;
+    va_start(args, fmt);
+    va_copy(copy, args);
+    char buf[160];
+    int n = std::vsnprintf(buf, sizeof buf, fmt, args);
+    va_end(args);
+    std::string out;
+    if (n >= 0 && static_cast<size_t>(n) < sizeof buf) {
+        out.assign(buf, static_cast<size_t>(n));
+    } else if (n >= 0) {
+        out.resize(static_cast<size_t>(n));
+        std::vsnprintf(out.data(), out.size() + 1, fmt, copy);
+    }
+    va_end(copy);
+    return out;
 }
 
 } // namespace paichar::obs

@@ -3,7 +3,8 @@
  * Minimal JSON building blocks shared by the obs exporters (Chrome
  * trace, job-log JSONL): string escaping per RFC 8259 and
  * shortest-round-trip number formatting via std::to_chars, so every
- * exporter emits byte-identical output for identical inputs.
+ * exporter emits byte-identical output for identical inputs. Also the
+ * one printf-to-string helper of the text renderers.
  */
 
 #ifndef PAICHAR_OBS_JSON_UTIL_H
@@ -37,6 +38,13 @@ void appendJsonNumber(std::string &out, double v);
 
 /** Integer overload. */
 void appendJsonNumber(std::string &out, int64_t v);
+
+/**
+ * printf into a std::string, growing to fit (never truncates); "" on
+ * an encoding error.
+ */
+std::string format(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 } // namespace paichar::obs
 

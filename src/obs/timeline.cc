@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -37,32 +35,6 @@ kindName(int kind)
     default:
         return "quantile";
     }
-}
-
-/** Grow-to-fit printf into a std::string (same idiom as export.cc). */
-std::string
-format(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    char buf[160];
-    va_list copy;
-    va_copy(copy, args);
-    int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    if (n < 0) {
-        va_end(copy);
-        return {};
-    }
-    if (static_cast<size_t>(n) < sizeof(buf)) {
-        va_end(copy);
-        return std::string(buf, static_cast<size_t>(n));
-    }
-    std::string big(static_cast<size_t>(n) + 1, '\0');
-    std::vsnprintf(big.data(), big.size(), fmt, copy);
-    va_end(copy);
-    big.resize(static_cast<size_t>(n));
-    return big;
 }
 
 } // namespace

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
+#include "obs/json_util.h"
+
 namespace paichar::stats {
+
+using obs::format;
 
 Table::Table(std::vector<std::string> headers)
     : headers_(std::move(headers))
@@ -76,31 +79,6 @@ Table::render() const
     renderSep(os);
     return os.str();
 }
-
-namespace {
-
-/**
- * snprintf into a string, retrying with an exact-size allocation when
- * the text outgrows the stack buffer. %f of a magnitude like 1e300
- * runs to 300+ characters; the previous fixed 64-byte buffers
- * silently truncated (and unterminated) such values.
- */
-template <typename... Args>
-std::string
-format(const char *f, Args... args)
-{
-    char buf[64];
-    int n = std::snprintf(buf, sizeof buf, f, args...);
-    if (n < 0)
-        return std::string();
-    if (static_cast<size_t>(n) < sizeof buf)
-        return std::string(buf, static_cast<size_t>(n));
-    std::string out(static_cast<size_t>(n), '\0');
-    std::snprintf(out.data(), out.size() + 1, f, args...);
-    return out;
-}
-
-} // namespace
 
 std::string
 fmt(double v, int precision)
