@@ -233,6 +233,16 @@ mergeArrivals(const std::vector<ModelLoad> &models, int64_t num_requests,
     return arrivals;
 }
 
+/** Mean of v[lo, hi), summed in order. */
+double
+meanRange(const std::vector<double> &v, size_t lo, size_t hi)
+{
+    double acc = 0.0;
+    for (size_t j = lo; j < hi; ++j)
+        acc += v[j];
+    return acc / static_cast<double>(hi - lo);
+}
+
 /**
  * Overload detection: under a stable queue, late-run latencies match
  * mid-run ones; in overload the backlog (and thus latency) grows
@@ -246,17 +256,11 @@ overloadVerdict(const std::vector<double> &latency_seq)
     size_t n = latency_seq.size();
     if (n < static_cast<size_t>(kMinSaturationSamples))
         return OverloadVerdict::Undersampled;
-    auto mean_range = [&](size_t lo, size_t hi) {
-        double acc = 0.0;
-        for (size_t j = lo; j < hi; ++j)
-            acc += latency_seq[j];
-        return acc / static_cast<double>(hi - lo);
-    };
     // With a linearly growing backlog the tail-to-middle ratio
     // approaches 1.8 (0.9n vs 0.5n of linear growth); a stable queue
     // keeps it near 1. Split the difference.
-    double mid = mean_range(2 * n / 5, 3 * n / 5);
-    double tail = mean_range(4 * n / 5, n);
+    double mid = meanRange(latency_seq, 2 * n / 5, 3 * n / 5);
+    double tail = meanRange(latency_seq, 4 * n / 5, n);
     return tail > 1.45 * mid ? OverloadVerdict::Saturated
                              : OverloadVerdict::Stable;
 }
