@@ -29,8 +29,9 @@ TEST(OptimizationPlannerTest, BaselineFirstAndSpeedupsConsistent)
     // decreasing speedup.
     for (size_t i = 2; i < plans.size(); ++i) {
         EXPECT_GE(plans[i - 1].simulated, plans[i].simulated);
-        if (plans[i - 1].simulated == plans[i].simulated)
+        if (plans[i - 1].simulated == plans[i].simulated) {
             EXPECT_GE(plans[i - 1].speedup + 1e-12, plans[i].speedup);
+        }
     }
     for (const Plan &p : plans) {
         // Speedups are Eq 2 throughput ratios against the baseline,

@@ -76,9 +76,10 @@ TEST(PassPropertyTest, MixedPrecisionStepTimeMonotone)
         plan.features = model.features;
         plan.efficiency = model.measured_efficiency;
         double step = cost.estimate(plan).step_time;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(step, prev + 1e-12)
                 << "speedup " << speedups[i];
+        }
         prev = step;
     }
 }
@@ -149,8 +150,9 @@ TEST(PassPropertyTest, PartitionExchangeScalesDownWithWays)
             SubGraphPartitionPass pass(ways);
             double x = pass.exchangeBytes(g);
             EXPECT_GE(x, 0.0);
-            if (prev >= 0.0)
+            if (prev >= 0.0) {
                 EXPECT_LE(x, prev + 1e-9);
+            }
             prev = x;
         }
     }

@@ -82,8 +82,9 @@ TEST(SchedOracle, GenRequestsAreSeedPureAndOrdered)
         EXPECT_DOUBLE_EQ(a[i].submit_time, b[i].submit_time);
         EXPECT_EQ(a[i].num_steps, b[i].num_steps);
         EXPECT_LE(a[i].job.num_cnodes, 16);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i].submit_time, a[i - 1].submit_time);
+        }
     }
     auto c = genRequests(gen, 100, opt, 16);
     bool differs = false;

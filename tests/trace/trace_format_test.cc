@@ -398,9 +398,10 @@ writeTemp(const std::string &name, const std::string &bytes)
     std::string path = testing::TempDir() + "/" + name;
     std::FILE *f = std::fopen(path.c_str(), "wb");
     EXPECT_NE(f, nullptr);
-    if (!bytes.empty())
+    if (!bytes.empty()) {
         EXPECT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
                   bytes.size());
+    }
     std::fclose(f);
     return path;
 }
