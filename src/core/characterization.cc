@@ -136,7 +136,7 @@ ClusterCharacterizer::weightSizeCdf(std::optional<ArchType> arch) const
         pool_, jobs_.size(),
         [&](size_t i) { return !arch || jobs_.arch(i) == *arch; },
         [&](size_t i) {
-            return std::pair(jobs_.job(i).features.weightBytes(), 1.0);
+            return std::pair(jobs_.weightBytes(i), 1.0);
         });
 }
 

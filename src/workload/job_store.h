@@ -22,6 +22,7 @@
 #ifndef PAICHAR_WORKLOAD_JOB_STORE_H
 #define PAICHAR_WORKLOAD_JOB_STORE_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -132,6 +133,22 @@ class JobStore
     }
 
     /**
+     * job(i).features.weightBytes(), read from the dense and embedding
+     * weight columns alone.
+     */
+    double weightBytes(size_t i) const
+    {
+        if (!columnar_)
+            return owned_[i].features.weightBytes();
+        WorkloadFeatures f;
+        f.dense_weight_bytes =
+            feature<&WorkloadFeatures::dense_weight_bytes>(i);
+        f.embedding_weight_bytes =
+            feature<&WorkloadFeatures::embedding_weight_bytes>(i);
+        return f.weightBytes();
+    }
+
+    /**
      * The population as a vector. Free in owned mode; in view mode
      * every job is materialized (use only where downstream code
      * genuinely needs the vector, e.g. request generation).
@@ -190,6 +207,19 @@ class JobStore
         T v;
         std::memcpy(&v, p, sizeof v);
         return v;
+    }
+
+    /** Feature @p M of job @p i, read from its column (view mode). */
+    template <double WorkloadFeatures::*M>
+    double
+    feature(size_t i) const
+    {
+        constexpr size_t k = static_cast<size_t>(
+            std::find(std::begin(kFeatureColumnOrder),
+                      std::end(kFeatureColumnOrder), M) -
+            std::begin(kFeatureColumnOrder));
+        static_assert(k < kNumFeatureColumns);
+        return readRaw<double>(cols_.features[k] + i * sizeof(double));
     }
 
     std::vector<TrainingJob> owned_;

@@ -34,8 +34,9 @@ samplePopulation(size_t n)
         j.features.input_bytes = 1e6 * static_cast<double>(i + 1);
         j.features.comm_bytes = 5e8;
         j.features.embedding_comm_bytes = 1e8;
-        j.features.dense_weight_bytes = 2e8;
-        j.features.embedding_weight_bytes = 3e8;
+        j.features.dense_weight_bytes = 2e8 + static_cast<double>(i);
+        j.features.embedding_weight_bytes =
+            3e8 * static_cast<double>(i % 3);
         jobs.push_back(j);
     }
     return jobs;
@@ -175,6 +176,8 @@ TEST(JobStoreTest, ColumnAccessorsMatchJobInBothModes)
         for (size_t i = 0; i < jobs.size(); ++i) {
             EXPECT_EQ(store.arch(i), jobs[i].arch) << "job " << i;
             EXPECT_EQ(store.numCnodes(i), jobs[i].num_cnodes)
+                << "job " << i;
+            EXPECT_EQ(store.weightBytes(i), jobs[i].features.weightBytes())
                 << "job " << i;
         }
     }
