@@ -61,12 +61,11 @@ WeightedCdf::ensureSorted() const
 {
     if (sorted_)
         return;
-    // Equal values may land in any order, which no query can see as
-    // long as the cumulative weight at the end of each run of equal
-    // values is exact (DESIGN.md Sec 6).
-    runtime::parallelSort(
+    // Stable: equal values keep their insertion order (DESIGN.md
+    // Sec 6), and -0.0 ties with +0.0 as it compares equal.
+    runtime::parallelSortByKey(
         runtime::globalPool(), samples_,
-        [](const auto &a, const auto &b) { return a.first < b.first; });
+        [](const auto &s) { return runtime::doubleSortKey(s.first); });
     cum_weight_.resize(samples_.size());
     double acc = 0.0;
     for (size_t i = 0; i < samples_.size(); ++i) {

@@ -23,8 +23,10 @@ namespace paichar::stats {
  * Samples are added with a weight (default 1.0), one at a time or in
  * bulk through the vector constructor; queries are valid after at least
  * one sample has been added. All queries are lazily backed by a sort of
- * the sample vector (runtime::parallelSort on the global pool), cached
- * until the next insertion.
+ * the sample vector, cached until the next insertion: a stable
+ * runtime::parallelSortByKey on the global pool, so equal values
+ * (-0.0 and +0.0 among them) keep their insertion order and the result
+ * is the same at every thread count.
  *
  * Error handling is real (exceptions), not assert-only: querying an
  * empty CDF throws std::logic_error, and out-of-domain arguments

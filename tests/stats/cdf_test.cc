@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -171,7 +174,7 @@ expectIdenticalQueries(const WeightedCdf &a, const WeightedCdf &b)
 
 TEST(WeightedCdfBulkTest, MatchesAddOnTieHeavyIntegerWeights)
 {
-    // Sizes below, at and above one parallelSort run.
+    // Sizes below, at and above one sort run.
     for (size_t n : {size_t{1}, size_t{1000}, runtime::kSortRun,
                      3 * runtime::kSortRun + 7}) {
         for (uint64_t seed : {1u, 2u, 3u}) {
@@ -203,6 +206,58 @@ TEST(WeightedCdfBulkTest, TieOrderCannotChangeAnyQuery)
     WeightedCdf ref(samples);
     expectIdenticalQueries(ref, WeightedCdf(reversed));
     expectIdenticalQueries(ref, WeightedCdf(rotated));
+}
+
+TEST(WeightedCdfBulkTest, MixedSignedZerosMatchAdd)
+{
+    // -0.0 and +0.0 compare equal, so the sort ties them and keeps
+    // them in insertion order: every query, down to the sign of a
+    // zero it returns, matches both the add()-built CDF and a
+    // reference quantile over std::stable_sort by value.
+    auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    for (size_t n : {size_t{7}, 3 * runtime::kSortRun + 7}) {
+        SCOPED_TRACE("n " + std::to_string(n));
+        Rng rng(n);
+        Samples samples(n);
+        for (auto &[value, weight] : samples) {
+            const double values[] = {-0.0, 0.0, -0.0, 0.0, -1.0, 1.0};
+            value = values[rng.uniformInt(0, 5)];
+            weight = static_cast<double>(rng.uniformInt(0, 3));
+        }
+        samples[0] = {-0.0, 1.0};
+        samples[1] = {0.0, 1.0};
+        WeightedCdf added = addOneByOne(samples);
+        WeightedCdf bulk(samples);
+        EXPECT_EQ(added.mean(), bulk.mean());
+        expectIdenticalQueries(added, bulk);
+
+        Samples sorted = samples;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+        std::vector<double> cum;
+        double acc = 0.0;
+        for (const auto &sample : sorted)
+            cum.push_back(acc += sample.second);
+        for (int k = 0; k <= 100; ++k) {
+            double q = k / 100.0;
+            size_t idx = static_cast<size_t>(
+                std::lower_bound(cum.begin(), cum.end(),
+                                 q * bulk.totalWeight()) -
+                cum.begin());
+            double want = sorted[std::min(idx, n - 1)].first;
+            EXPECT_EQ(bits(want), bits(added.quantile(q))) << "q " << q;
+            EXPECT_EQ(bits(want), bits(bulk.quantile(q))) << "q " << q;
+        }
+        EXPECT_EQ(bits(sorted.front().first), bits(bulk.min()));
+        EXPECT_EQ(bits(sorted.back().first), bits(bulk.max()));
+    }
+    // The first zero added comes first.
+    EXPECT_TRUE(std::signbit(WeightedCdf(Samples{{-0.0, 1.0}, {0.0, 1.0}})
+                                 .min()));
+    EXPECT_FALSE(std::signbit(
+        WeightedCdf(Samples{{0.0, 1.0}, {-0.0, 1.0}}).min()));
 }
 
 TEST(WeightedCdfBulkTest, EmptyBulkCdfBehavesLikeDefault)
