@@ -215,12 +215,12 @@ TEST(WeightedCdfBulkTest, MixedSignedZerosMatchAdd)
     // zero it returns, matches both the add()-built CDF and a
     // reference quantile over std::stable_sort by value.
     auto bits = [](double x) { return std::bit_cast<uint64_t>(x); };
+    const double values[] = {-0.0, 0.0, -0.0, 0.0, -1.0, 1.0};
     for (size_t n : {size_t{7}, 3 * runtime::kSortRun + 7}) {
         SCOPED_TRACE("n " + std::to_string(n));
         Rng rng(n);
         Samples samples(n);
         for (auto &[value, weight] : samples) {
-            const double values[] = {-0.0, 0.0, -0.0, 0.0, -1.0, 1.0};
             value = values[rng.uniformInt(0, 5)];
             weight = static_cast<double>(rng.uniformInt(0, 3));
         }
