@@ -1094,15 +1094,21 @@ ClusterScheduler::run(std::vector<JobRequest> requests) const
         .add(static_cast<uint64_t>(out.preemptions));
     static obs::Histogram &wait_hist =
         obs::histogram("clustersim.wait_s");
-    stats::WeightedCdf waits;
+    std::vector<double> waits;
+    waits.reserve(out.jobs.size());
+    double wait_sum = 0.0;
     for (const JobOutcome &jo : out.jobs) {
         out.makespan = std::max(out.makespan, jo.finish_time);
-        waits.add(jo.wait());
-        wait_hist.observe(jo.wait());
+        double wait = jo.wait();
+        stats::requireFiniteSample(wait);
+        waits.push_back(wait);
+        wait_sum += wait;
+        wait_hist.observe(wait);
     }
     if (!out.jobs.empty()) {
-        out.mean_wait = waits.mean();
-        out.p95_wait = waits.quantile(0.95);
+        out.mean_wait = wait_sum / static_cast<double>(waits.size());
+        out.p95_wait =
+            obs::nearestRankQuantile(std::move(waits), 0.95);
         double total =
             static_cast<double>(cfg_.num_servers) *
             cfg_.gpus_per_server * out.makespan;

@@ -1,6 +1,7 @@
 #include "fleet_sim.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <deque>
@@ -654,19 +655,25 @@ class FleetRun
                            ? static_cast<double>(r.completed) / last_end_
                            : 0.0;
         if (!latency_seq_.empty()) {
-            std::vector<std::pair<double, double>> samples;
-            samples.reserve(latency_seq_.size());
-            for (double lat : latency_seq_)
-                samples.emplace_back(lat, 1.0);
-            stats::WeightedCdf latencies(std::move(samples));
-            // mean() first: it sums in completion order, before a
-            // quantile sorts the samples.
-            r.mean_latency = latencies.mean();
-            r.p50_latency = latencies.quantile(0.50);
-            r.p95_latency = latencies.quantile(0.95);
-            r.p99_latency = latencies.quantile(0.99);
-            r.p999_latency = latencies.quantile(0.999);
-            r.max_latency = latencies.max();
+            // The mean sums in completion order; the order statistics
+            // are selected from a copy, since run() still reads
+            // latency_seq_ in completion order.
+            double sum = 0.0;
+            for (double lat : latency_seq_) {
+                stats::requireFiniteSample(lat);
+                sum += lat;
+            }
+            r.mean_latency =
+                sum / static_cast<double>(latency_seq_.size());
+            static constexpr std::array<double, 5> kQs{
+                0.50, 0.95, 0.99, 0.999, 1.0};
+            std::vector<double> p =
+                obs::nearestRankQuantiles(latency_seq_, kQs);
+            r.p50_latency = p[0];
+            r.p95_latency = p[1];
+            r.p99_latency = p[2];
+            r.p999_latency = p[3];
+            r.max_latency = p[4];
         }
 
         double busy_total = 0.0, uptime_total = 0.0;

@@ -132,10 +132,11 @@ struct AutoscalerConfig
          * scale up when the p99 of the completions observed since
          * the last control decision approaches the SLO, drain down
          * when it clears it with margin. The window quantile is
-         * obs::nearestRankQuantile — the same statistic the timeline
-         * `inference.fleet.latency_us.p99` series reports — but the
-         * controller keeps its own window, so SLO autoscaling works
-         * with no timeline attached.
+         * obs::nearestRankQuantile, selected from the window's
+         * latencies by the nearest-rank rule that the timeline
+         * `inference.fleet.latency_us.p99` series and the run's
+         * p99_latency also read. The controller keeps its own
+         * window, so SLO autoscaling works with no timeline attached.
          */
         SloLatency,
     };

@@ -1,6 +1,7 @@
 #include "timeline.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -39,18 +40,52 @@ kindName(int kind)
 
 } // namespace
 
+size_t
+nearestRank(double q, size_t n)
+{
+    if (std::isnan(q))
+        throw std::invalid_argument("nearestRank: q must not be NaN");
+    if (n == 0)
+        return 0;
+    q = std::clamp(q, 0.0, 1.0);
+    auto rank = static_cast<size_t>(
+        std::ceil(q * static_cast<double>(n)));
+    return std::clamp<size_t>(rank, 1, n);
+}
+
+std::vector<double>
+nearestRankQuantiles(std::vector<double> samples,
+                     std::span<const double> qs)
+{
+    // (rank, position in qs), visited by ascending rank.
+    std::vector<std::pair<size_t, size_t>> ranks;
+    ranks.reserve(qs.size());
+    for (size_t i = 0; i < qs.size(); ++i)
+        ranks.emplace_back(nearestRank(qs[i], samples.size()), i);
+    std::vector<double> out(qs.size(),
+                            std::numeric_limits<double>::quiet_NaN());
+    if (samples.empty())
+        return out;
+    std::sort(ranks.begin(), ranks.end());
+    // Invariant: nothing in [first, end) is below anything before
+    // first, so a rank selected within [first, end) is that rank of
+    // the whole set.
+    auto first = samples.begin();
+    for (auto [rank, i] : ranks) {
+        auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank - 1);
+        if (nth >= first) {
+            std::nth_element(first, nth, samples.end());
+            first = nth + 1;
+        }
+        out[i] = *nth;
+    }
+    return out;
+}
+
 double
 nearestRankQuantile(std::vector<double> samples, double q)
 {
-    if (samples.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    q = std::clamp(q, 0.0, 1.0);
-    std::sort(samples.begin(), samples.end());
-    size_t n = samples.size();
-    auto rank = static_cast<size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    rank = std::clamp<size_t>(rank, 1, n);
-    return samples[rank - 1];
+    return nearestRankQuantiles(std::move(samples), {&q, 1}).front();
 }
 
 struct Timeline::Slot
@@ -143,12 +178,11 @@ Timeline::closeWindow()
             rows_.push_back({end, name + ".count",
                              static_cast<double>(samples.size())});
             if (!samples.empty()) {
-                rows_.push_back(
-                    {end, name + ".p50",
-                     nearestRankQuantile(samples, 0.50)});
-                rows_.push_back(
-                    {end, name + ".p99",
-                     nearestRankQuantile(samples, 0.99)});
+                static constexpr std::array<double, 2> kQs{0.50, 0.99};
+                std::vector<double> p =
+                    nearestRankQuantiles(std::move(samples), kQs);
+                rows_.push_back({end, name + ".p50", p[0]});
+                rows_.push_back({end, name + ".p99", p[1]});
             }
             samples.clear();
             break;

@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -63,10 +64,33 @@ extern std::atomic<bool> g_timeline_active;
 inline constexpr const char *kTimelineSchema = "paichar.timeline.v1";
 
 /**
- * Nearest-rank quantile of an unsorted sample set (q clamped to
- * [0, 1]); NaN when @p samples is empty. Shared by the timeline's
- * windowed-quantile probe and the fleet autoscaler's SLO window, so
- * both report the same p99 for the same samples.
+ * The nearest-rank rule: the 1-based rank of quantile @p q among
+ * @p n ascending samples, clamp(ceil(q * n), 1, n) with q clamped to
+ * [0, 1], and 0 when n = 0. It is the rank an add()-built unit-weight
+ * WeightedCdf::quantile(q) lands on: its cumulative weights are the
+ * exact integers 1..n and its target is the same double product
+ * q * n. @throws std::invalid_argument if q is NaN.
+ */
+size_t nearestRank(double q, size_t n);
+
+/**
+ * Nearest-rank quantiles (nearestRank()) of an unsorted sample set,
+ * one per entry of @p qs in the order given; every entry is NaN when
+ * @p samples is empty. Selects instead of sorting: one
+ * std::nth_element per distinct rank, ascending, each over only the
+ * samples above the previous rank -- about 1.5n work for p50, p95,
+ * p99, p999 and the max. For finite samples the values equal a
+ * unit-weight WeightedCdf's quantiles bit for bit, except that a
+ * rank that falls on a tie of -0.0 and +0.0 may read either zero.
+ * @throws std::invalid_argument if any q is NaN.
+ */
+std::vector<double> nearestRankQuantiles(std::vector<double> samples,
+                                         std::span<const double> qs);
+
+/**
+ * One nearest-rank quantile (see nearestRankQuantiles()). Shared by
+ * the timeline's windowed-quantile probe and the fleet autoscaler's
+ * SLO window, so both report the same p99 for the same samples.
  */
 double nearestRankQuantile(std::vector<double> samples, double q);
 

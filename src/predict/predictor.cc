@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/obs.h"
+#include "obs/timeline.h"
 #include "workload/arch_type.h"
 
 namespace paichar::predict {
@@ -56,12 +57,7 @@ double
 sortedQuantile(const std::vector<double> &sorted, double q)
 {
     requireQuantile(q);
-    // Smallest v with P(X <= v) >= q over equal weights: index
-    // ceil(q*n) - 1, clamped into range (q = 0 -> the minimum).
-    double n = static_cast<double>(sorted.size());
-    auto idx = static_cast<size_t>(
-        std::max(0.0, std::ceil(q * n) - 1.0));
-    return sorted[std::min(idx, sorted.size() - 1)];
+    return sorted[obs::nearestRank(q, sorted.size()) - 1];
 }
 
 QuantileDurationModel::QuantileDurationModel(

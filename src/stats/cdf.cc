@@ -25,10 +25,7 @@ throwEmpty(const char *fn)
 void
 checkSample(double value, double weight)
 {
-    if (!std::isfinite(value)) {
-        throw std::invalid_argument(
-            "WeightedCdf::add: value must be finite");
-    }
+    requireFiniteSample(value);
     // The comparison is written to reject NaN weights as well.
     if (!(weight >= 0.0) || !std::isfinite(weight)) {
         throw std::invalid_argument(
@@ -37,6 +34,15 @@ checkSample(double value, double weight)
 }
 
 } // namespace
+
+void
+requireFiniteSample(double value)
+{
+    if (!std::isfinite(value)) {
+        throw std::invalid_argument(
+            "WeightedCdf::add: value must be finite");
+    }
+}
 
 WeightedCdf::WeightedCdf(std::vector<std::pair<double, double>> samples)
     : samples_(std::move(samples)), sorted_(samples_.empty())

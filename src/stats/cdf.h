@@ -18,6 +18,14 @@
 namespace paichar::stats {
 
 /**
+ * WeightedCdf::add's value check, for sample sets whose order
+ * statistics are read without building a CDF (obs::nearestRankQuantiles).
+ * @throws std::invalid_argument with add()'s message unless @p value
+ *         is finite.
+ */
+void requireFiniteSample(double value);
+
+/**
  * An empirical weighted CDF over double-valued samples.
  *
  * Samples are added with a weight (default 1.0), one at a time or in

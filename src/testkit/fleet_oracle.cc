@@ -95,6 +95,7 @@ referenceSingleServer(const InferenceWorkload &w, double qps,
     r.p95_latency = latencies.quantile(0.95);
     r.p99_latency = latencies.quantile(0.99);
     r.p999_latency = latencies.quantile(0.999);
+    r.max_latency = latencies.max();
     r.gpu_utilization = busy / last_end;
     r.avg_batch = static_cast<double>(num_requests) /
                   static_cast<double>(batches);
@@ -271,6 +272,8 @@ checkSingleServerEquivalence(const InferenceWorkload &w, double qps,
         return diff("p99", a.p99_latency, b.p99_latency);
     if (a.p999_latency != b.p999_latency)
         return diff("p999", a.p999_latency, b.p999_latency);
+    if (a.max_latency != b.max_latency)
+        return diff("max_latency", a.max_latency, b.max_latency);
     if (a.gpu_utilization != b.gpu_utilization)
         return diff("gpu_utilization", a.gpu_utilization,
                     b.gpu_utilization);
