@@ -18,9 +18,9 @@
  * plan space of two case-study models (BENCH_opt_planner.json) --
  * the ratio between the two evaluators is what makes the planner's
  * analytical-prune-then-simulate-top-K search pay off. A fifth
- * sim-engine section compares the seed priority_queue event engine
- * against the arena/ladder EventQueue on an 8M-event drain (recorded
- * in BENCH_sim_engine.json). A sixth serving section records
+ * sim-engine section times the EventQueue heap on an 8M-event bulk
+ * drain and on 8M events held 128 at a time (recorded in
+ * BENCH_sim_engine.json). A sixth serving section records
  * simulated-requests-per-second of the fleet event loop at 1 and 4
  * servers, and of fleets from 16 to 1024 servers under each routing
  * policy (BENCH_serving.json). A seventh
@@ -41,7 +41,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -775,66 +774,6 @@ runPlannerSection()
     std::printf("\n");
 }
 
-/**
- * The seed repo's event engine, kept verbatim as the sim_engine
- * baseline (mirroring the legacy CSV parser above): a
- * std::priority_queue of std::function events with the
- * const_cast-move pop. Everything the ladder EventQueue is measured
- * against.
- */
-namespace seed_sim {
-
-class EventQueue
-{
-  public:
-    void
-    schedule(double when, std::function<void()> fn)
-    {
-        if (when < now_)
-            when = now_;
-        heap_.push(Event{when, next_seq_++, std::move(fn)});
-    }
-
-    double
-    run()
-    {
-        while (!heap_.empty()) {
-            Event ev =
-                std::move(const_cast<Event &>(heap_.top()));
-            heap_.pop();
-            now_ = ev.when;
-            ++executed_;
-            ev.fn();
-        }
-        return now_;
-    }
-
-    uint64_t executed() const { return executed_; }
-
-  private:
-    struct Event
-    {
-        double when;
-        uint64_t seq;
-        std::function<void()> fn;
-        bool
-        operator>(const Event &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            return seq > o.seq;
-        }
-    };
-    std::priority_queue<Event, std::vector<Event>,
-                        std::greater<Event>>
-        heap_;
-    double now_ = 0.0;
-    uint64_t next_seq_ = 0;
-    uint64_t executed_ = 0;
-};
-
-} // namespace seed_sim
-
 /** splitmix64 for reproducible event times without <random>. */
 uint64_t
 simBenchMix(uint64_t x)
@@ -845,39 +784,59 @@ simBenchMix(uint64_t x)
     return x ^ (x >> 31);
 }
 
+/** Event @p i's time in [0, 1000) s, a pure function of the index. */
+double
+simBenchWhen(size_t i)
+{
+    return 1000.0 * static_cast<double>(simBenchMix(i) >> 11) *
+           0x1.0p-53;
+}
+
 /**
- * Event-engine section: bulk-schedule-then-drain throughput of the
- * seed priority_queue engine and the arena/ladder EventQueue, over
- * the same splitmix64-timed event population (the contents of
- * BENCH_sim_engine.json). Event count defaults to 8M; override with
- * PAICHAR_SIM_BENCH_EVENTS for quick runs. CI greps the
- * speedup_vs_seed column.
+ * The hold population: a fixed number of events stay pending, and
+ * each one schedules its successor simBenchWhen() seconds later until
+ * @c n events have been scheduled.
+ */
+struct SimHold
+{
+    sim::EventQueue eq;
+    size_t n;
+    size_t scheduled = 0;
+
+    void
+    next()
+    {
+        if (scheduled < n) {
+            eq.schedule(eq.now() + simBenchWhen(scheduled++),
+                        [this] { next(); });
+        }
+    }
+};
+
+/**
+ * Event-engine section: drain throughput of the EventQueue heap over
+ * two populations of the same size (the contents of
+ * BENCH_sim_engine.json). `heap` bulk-schedules every
+ * splitmix64-timed event and then drains them, the heap at its
+ * largest; `heap_hold128` keeps 128 events pending, each scheduling
+ * its successor, which is how the repo's simulations use the queue.
+ * Event count defaults to 8M; override with PAICHAR_SIM_BENCH_EVENTS
+ * for quick runs. Every row runs at 1 and 4 threads (the drain is
+ * single-threaded; the rows show it).
  */
 void
 runSimEngineSection()
 {
     size_t events_n = envCount("PAICHAR_SIM_BENCH_EVENTS", 8000000);
     constexpr int kReps = 3;
-    constexpr double kHorizon = 1000.0;
-    int threads = runtime::threadCount();
+    constexpr size_t kHold = 128;
 
-    // Event times are a pure function of the index so every engine
-    // drains the identical population.
-    auto whenAt = [&](size_t i) {
-        return kHorizon *
-               static_cast<double>(simBenchMix(i) >> 11) *
-               0x1.0p-53;
-    };
+    std::printf("# sim-engine: %zu events, best of %d reps\n",
+                events_n, kReps);
 
-    std::printf("# sim-engine: %zu events over %.0f simulated "
-                "seconds, best of %d reps, %d threads\n",
-                events_n, kHorizon, kReps, threads);
-
-    // Each rep schedules the population (the one-time trace-load
-    // cost, timed separately) and then times the drain — the phase a
-    // simulation spends its life in, and where the seed's 8M-entry
-    // binary heap of 48-byte events pays ~log2(n) cache misses per
-    // pop.
+    // Each rep schedules its starting population (timed separately:
+    // the whole population for heap, kHold events for heap_hold128)
+    // and then times the drain.
     struct Timing
     {
         double schedule_sec;
@@ -889,62 +848,68 @@ runSimEngineSection()
         const char *engine;
         std::function<Timing()> body;
     };
-    auto timeDrain = [&](auto &eq) {
-        uint64_t acc = 0;
+    auto timeDrain = [](sim::EventQueue &eq, auto scheduleAll) {
         auto t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < events_n; ++i)
-            eq.schedule(whenAt(i), [&acc] { ++acc; });
+        scheduleAll();
         auto t1 = std::chrono::steady_clock::now();
         eq.run();
         auto t2 = std::chrono::steady_clock::now();
-        benchmark::DoNotOptimize(acc);
         return Timing{
             std::chrono::duration<double>(t1 - t0).count(),
             std::chrono::duration<double>(t2 - t1).count(),
             eq.executed()};
     };
-    std::vector<Row> rows = {
-        {"serial_seed",
-         [&] {
-             seed_sim::EventQueue eq;
-             return timeDrain(eq);
-         }},
-        {"ladder",
+    const std::vector<Row> rows = {
+        {"heap",
          [&] {
              sim::EventQueue eq;
-             return timeDrain(eq);
+             uint64_t acc = 0;
+             Timing t = timeDrain(eq, [&] {
+                 for (size_t i = 0; i < events_n; ++i)
+                     eq.schedule(simBenchWhen(i), [&acc] { ++acc; });
+             });
+             benchmark::DoNotOptimize(acc);
+             return t;
+         }},
+        {"heap_hold128",
+         [&] {
+             SimHold hold{sim::EventQueue{}, events_n};
+             return timeDrain(hold.eq, [&] {
+                 for (size_t i = 0; i < kHold; ++i)
+                     hold.next();
+             });
          }},
     };
-    double seed_drain = 0.0;
-    for (const Row &row : rows) {
-        Timing best{0.0, 0.0, 0};
-        for (int rep = 0; rep < kReps; ++rep) {
-            Timing t = row.body();
-            if (t.executed != events_n) {
-                std::fprintf(stderr,
-                             "sim_engine %s: executed %llu of %zu "
-                             "events\n",
-                             row.engine,
-                             static_cast<unsigned long long>(
-                                 t.executed),
-                             events_n);
-                std::exit(1);
+    for (int threads : {1, 4}) {
+        runtime::setThreadCount(threads);
+        for (const Row &row : rows) {
+            Timing best{0.0, 0.0, 0};
+            for (int rep = 0; rep < kReps; ++rep) {
+                Timing t = row.body();
+                if (t.executed != events_n) {
+                    std::fprintf(stderr,
+                                 "sim_engine %s: executed %llu of %zu "
+                                 "events\n",
+                                 row.engine,
+                                 static_cast<unsigned long long>(
+                                     t.executed),
+                                 events_n);
+                    std::exit(1);
+                }
+                if (rep == 0 || t.drain_sec < best.drain_sec)
+                    best = t;
             }
-            if (rep == 0 || t.drain_sec < best.drain_sec)
-                best = t;
+            std::printf(
+                "{\"bench\":\"sim_engine\",\"engine\":\"%s\","
+                "\"events\":%zu,\"threads\":%d,"
+                "\"schedule_seconds\":%.6f,\"seconds\":%.6f,"
+                "\"events_per_s\":%.0f}\n",
+                row.engine, events_n, threads, best.schedule_sec,
+                best.drain_sec,
+                static_cast<double>(events_n) / best.drain_sec);
         }
-        if (row.engine == std::string("serial_seed"))
-            seed_drain = best.drain_sec;
-        std::printf(
-            "{\"bench\":\"sim_engine\",\"engine\":\"%s\","
-            "\"events\":%zu,\"threads\":%d,"
-            "\"schedule_seconds\":%.6f,\"seconds\":%.6f,"
-            "\"events_per_s\":%.0f,\"speedup_vs_seed\":%.2f}\n",
-            row.engine, events_n, threads,
-            best.schedule_sec, best.drain_sec,
-            static_cast<double>(events_n) / best.drain_sec,
-            seed_drain > 0.0 ? seed_drain / best.drain_sec : 0.0);
     }
+    runtime::setThreadCount(0);
     std::printf("\n");
 }
 

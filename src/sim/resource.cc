@@ -13,7 +13,7 @@ Resource::Resource(EventQueue &eq, std::string name, double rate,
     assert(overhead_ >= 0.0);
 }
 
-void
+ServiceInterval
 Resource::submit(double amount, Completion done)
 {
     assert(amount >= 0.0);
@@ -28,6 +28,7 @@ Resource::submit(double amount, Completion done)
             done(start, end);
         });
     }
+    return {start, end};
 }
 
 double

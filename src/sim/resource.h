@@ -24,6 +24,13 @@ namespace paichar::sim {
 /** Completion callback: (service start time, completion time). */
 using Completion = std::function<void(SimTime start, SimTime end)>;
 
+/** When a submitted request is served: [start, end). */
+struct ServiceInterval
+{
+    SimTime start;
+    SimTime end;
+};
+
 /** A FIFO resource with a fixed service rate. */
 class Resource
 {
@@ -47,12 +54,11 @@ class Resource
      * the work starts when all previously queued work finishes.
      *
      * @param amount Work in rate units; must be >= 0.
-     * @param done   Invoked (via the event queue) at completion.
+     * @param done   If set, invoked (via the event queue) at
+     *               completion with the returned interval.
+     * @return The request's service interval, known at submission.
      */
-    void submit(double amount, Completion done);
-
-    /** Submit work that completes silently. */
-    void submit(double amount) { submit(amount, Completion()); }
+    ServiceInterval submit(double amount, Completion done = {});
 
     /** Diagnostic name. */
     const std::string &name() const { return name_; }

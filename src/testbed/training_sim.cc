@@ -193,27 +193,21 @@ TrainingSimulator::run(const OpGraph &graph, const WorkloadFeatures &f,
                         opts_.kernel_launch_overhead;
                     ++result.num_kernels;
                 }
-                gpu->exec().submit(
-                    seconds,
-                    meta
-                        ? sim::Completion(
-                              [&result, &comp_end, &op](
-                                  sim::SimTime start,
-                                  sim::SimTime end) {
-                                  result.metadata.ops.push_back(
-                                      {op.name, op.type, 0, start,
-                                       end, op.flops, op.mem_bytes});
-                                  comp_end = std::max(comp_end, end);
-                              })
-                        : sim::Completion(
-                              [&comp_end](sim::SimTime,
-                                          sim::SimTime end) {
-                                  comp_end =
-                                      std::max(comp_end, end);
-                              }));
+                // Kernels on one GPU end in submission order, so the
+                // records come out in completion order.
+                sim::ServiceInterval iv = gpu->exec().submit(seconds);
+                if (meta) {
+                    result.metadata.ops.push_back(
+                        {op.name, op.type, 0, iv.start, iv.end, op.flops,
+                         op.mem_bytes});
+                }
+                comp_end = std::max(comp_end, iv.end);
             }
         }
     }
+    // Every kernel's end is known at submission; one event moves the
+    // clock to the last of them, where phase 2.5 starts.
+    eq.schedule(comp_end, [] {});
     cluster.drain();
     result.compute_time = comp_end - data_end;
 
@@ -398,10 +392,10 @@ TrainingSimulator::runPipelined(const workload::CaseStudyModel &model,
     }
     cluster.drain();
 
-    // Timeline: replay step completions in step order. The drain's
-    // internal event order depends on queue internals, but
-    // step_finish is a pure function of the inputs, so replaying it
-    // afterwards gives thread-independent rows.
+    // Timeline: replay step completions in step order. The drain
+    // fires events in (when, seq) order by definition, and
+    // step_finish is a pure function of the inputs, so the replayed
+    // rows are the same at every thread count.
     if (obs::timelineActive()) {
         obs::Timeline *tl = obs::timeline();
         obs::Timeline::Rate &steps_rate =

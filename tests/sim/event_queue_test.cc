@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -162,39 +163,50 @@ TEST(EventQueueTest, SimTimeGaugeIsExactAndSaturates)
     }
 }
 
-// Randomized battering ram: the arena + calendar-queue engine must
-// agree event-for-event with a trivially correct reference (stable
-// sort by time = (when, insertion order)), including under inserts
-// in the middle of a drain and re-scheduling from callbacks.
+// Randomized battering ram: the heap must agree event-for-event with
+// a trivially correct reference (stable sort by time = (when,
+// insertion order)), including under inserts in the middle of a
+// drain and re-scheduling from callbacks. Half the times are whole
+// seconds, so ties are common and the seq rule decides them; a third
+// of the follow-ups land in the past and must clamp to now().
 TEST(EventQueueTest, RandomizedOrderMatchesReferenceSort)
 {
     for (uint64_t seed : {1u, 7u, 1234u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
+        obs::resetMetrics();
         std::mt19937_64 rng(seed);
         std::uniform_real_distribution<double> dist(0.0, 1000.0);
+        auto maybeWhole = [&](double when) {
+            return rng() % 2 ? std::floor(when) : when;
+        };
 
         EventQueue eq;
         std::vector<std::pair<double, int>> expected;
         std::vector<int> got;
         int next_id = 0;
+        uint64_t clamped = 0;
         for (int i = 0; i < 5000; ++i) {
-            double when = dist(rng);
+            double when = maybeWhole(dist(rng));
             int id = next_id++;
             expected.emplace_back(when, id);
             eq.schedule(when, [&, id] { got.push_back(id); });
         }
         // Halfway through the drain, a handler inserts a later batch
-        // of events that schedule follow-ups past the current time.
+        // of events that schedule follow-ups a second before, at and
+        // a second after the current time.
         eq.schedule(500.0, [&] {
             for (int i = 0; i < 500; ++i) {
-                double when = 500.0 + dist(rng) / 2.0;
+                double when = maybeWhole(500.0 + dist(rng) / 2.0);
                 int id = next_id++;
                 expected.emplace_back(when, id);
                 eq.schedule(when, [&, id] {
                     got.push_back(id);
-                    double child = eq.now() + 1.0;
                     int cid = next_id++;
-                    expected.emplace_back(child, cid);
+                    double child = eq.now() + (cid % 3 - 1);
+                    if (child < eq.now())
+                        ++clamped;
+                    expected.emplace_back(std::max(child, eq.now()),
+                                          cid);
                     eq.schedule(child,
                                 [&, cid] { got.push_back(cid); });
                 });
@@ -214,6 +226,9 @@ TEST(EventQueueTest, RandomizedOrderMatchesReferenceSort)
         EXPECT_EQ(got, want);
         EXPECT_EQ(eq.executed(), want.size() + 1); // + the handler
         EXPECT_EQ(eq.pending(), 0u);
+        EXPECT_GT(clamped, 0u);
+        EXPECT_EQ(obs::counter("sim.past_events_clamped").value(),
+                  clamped);
     }
 }
 

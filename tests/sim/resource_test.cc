@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/resource.h"
 
 namespace paichar::sim {
@@ -79,6 +81,45 @@ TEST(ResourceTest, ZeroAmountCompletesAfterOverheadOnly)
     r.submit(0.0, [&](SimTime, SimTime e) { end = e; });
     eq.run();
     EXPECT_DOUBLE_EQ(end, 0.5);
+}
+
+// submit() returns the interval its completion later receives: for
+// queued, late (after an idle gap) and zero-amount requests alike.
+TEST(ResourceTest, SubmitReturnsItsServiceInterval)
+{
+    EventQueue eq;
+    Resource r(eq, "r", 10.0, 0.5);
+    std::vector<ServiceInterval> returned;
+    std::vector<ServiceInterval> completed;
+    auto submit = [&](double amount) {
+        returned.push_back(r.submit(
+            amount, [&](SimTime s, SimTime e) {
+                completed.push_back({s, e});
+            }));
+    };
+    submit(10.0); // [0, 1.5)
+    submit(0.0);  // queued behind it: [1.5, 2)
+    eq.schedule(5.0, [&] {
+        submit(20.0); // late, after an idle gap: [5, 7.5)
+        submit(0.0);  // [7.5, 8)
+    });
+    eq.run();
+    ASSERT_EQ(returned.size(), 4u);
+    ASSERT_EQ(completed.size(), 4u);
+    for (size_t i = 0; i < returned.size(); ++i) {
+        EXPECT_EQ(returned[i].start, completed[i].start) << i;
+        EXPECT_EQ(returned[i].end, completed[i].end) << i;
+    }
+    EXPECT_DOUBLE_EQ(returned[1].start, 1.5);
+    EXPECT_DOUBLE_EQ(returned[1].end, 2.0);
+    EXPECT_DOUBLE_EQ(returned[2].start, 5.0);
+    EXPECT_DOUBLE_EQ(returned[2].end, 7.5);
+    EXPECT_DOUBLE_EQ(returned[3].end, 8.0);
+    // Without a completion nothing is scheduled.
+    ServiceInterval quiet = r.submit(10.0);
+    EXPECT_DOUBLE_EQ(quiet.start, 8.0);
+    EXPECT_DOUBLE_EQ(quiet.end, 9.5);
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
 TEST(ResourceTest, Utilization)

@@ -7,6 +7,7 @@
 
 #include "core/analytical_model.h"
 #include "hw/units.h"
+#include "obs/obs.h"
 #include "testbed/training_sim.h"
 
 namespace paichar::testbed {
@@ -56,6 +57,19 @@ TEST(TrainingSimTest, KernelAccountingMatchesGraph)
     EXPECT_NEAR(r.overhead_time,
                 r.num_kernels * sim.options().kernel_launch_overhead,
                 1e-12);
+}
+
+// Every kernel's service interval is known when it is submitted, so
+// the compute phase schedules one event, not one per kernel.
+TEST(TrainingSimTest, ComputePhaseSchedulesNoKernelEvents)
+{
+    TrainingSimulator sim;
+    obs::Counter &executed = obs::counter("sim.events_executed");
+    uint64_t before = executed.value();
+    StepResult r = sim.run(ModelZoo::bert());
+    uint64_t events = executed.value() - before;
+    EXPECT_GT(events, 0u);
+    EXPECT_LT(events, static_cast<uint64_t>(r.num_kernels));
 }
 
 TEST(TrainingSimTest, DataPhaseUsesMeasuredPcieEfficiency)
