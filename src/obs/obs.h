@@ -110,12 +110,8 @@ class Gauge
     {
         if (!enabled())
             return;
-        int64_t v = v_.fetch_add(delta, std::memory_order_relaxed) +
-                    delta;
-        int64_t p = peak_.load(std::memory_order_relaxed);
-        while (v > p && !peak_.compare_exchange_weak(
-                            p, v, std::memory_order_relaxed)) {
-        }
+        ratchet(peak_,
+                v_.fetch_add(delta, std::memory_order_relaxed) + delta);
     }
 
     /**
@@ -132,10 +128,20 @@ class Gauge
         if (!enabled())
             return;
         v_.store(v, std::memory_order_relaxed);
-        int64_t p = peak_.load(std::memory_order_relaxed);
-        while (v > p && !peak_.compare_exchange_weak(
-                            p, v, std::memory_order_relaxed)) {
-        }
+        ratchet(peak_, v);
+    }
+
+    /**
+     * Raise the level to @p v if it is lower. Raises commute, so
+     * concurrent callers leave the maximum in any order.
+     */
+    void
+    raise(int64_t v)
+    {
+        if (!enabled())
+            return;
+        ratchet(v_, v);
+        ratchet(peak_, v);
     }
 
     int64_t
@@ -158,6 +164,15 @@ class Gauge
     }
 
   private:
+    static void
+    ratchet(std::atomic<int64_t> &a, int64_t v)
+    {
+        int64_t p = a.load(std::memory_order_relaxed);
+        while (v > p &&
+               !a.compare_exchange_weak(p, v, std::memory_order_relaxed)) {
+        }
+    }
+
     std::atomic<int64_t> v_{0};
     std::atomic<int64_t> peak_{0};
 };

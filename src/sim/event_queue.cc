@@ -31,7 +31,10 @@ executedCounter()
     return c;
 }
 
-/** Last simulated time reached by a drain, in microseconds. */
+/**
+ * Latest simulated time a drain reached, in microseconds: raised, not
+ * set, so parallel drains leave the same value at every thread count.
+ */
 obs::Gauge &
 simTimeGauge()
 {
@@ -140,9 +143,9 @@ EventQueue::finishDrain(obs::Span &span, uint64_t executed_delta)
     constexpr double kMaxUs =
         static_cast<double>(std::numeric_limits<int64_t>::max());
     double us = now_ * 1e6;
-    simTimeGauge().set(us >= kMaxUs
-                           ? std::numeric_limits<int64_t>::max()
-                           : static_cast<int64_t>(us));
+    simTimeGauge().raise(us >= kMaxUs
+                             ? std::numeric_limits<int64_t>::max()
+                             : static_cast<int64_t>(us));
     span.setArg(static_cast<int64_t>(executed_delta));
 }
 

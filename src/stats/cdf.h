@@ -30,11 +30,12 @@ void requireFiniteSample(double value);
  *
  * Samples are added with a weight (default 1.0), one at a time or in
  * bulk through the vector constructor; queries are valid after at least
- * one sample has been added. All queries are lazily backed by a sort of
- * the sample vector, cached until the next insertion: a stable
- * runtime::parallelSortByKey on the global pool, so equal values
- * (-0.0 and +0.0 among them) keep their insertion order and the result
- * is the same at every thread count.
+ * one sample has been added. No query reorders the samples; each
+ * answers as a stable sort by value would, so equal values (-0.0 and
+ * +0.0 among them) count in insertion order. With integer weights
+ * totalling under 2^53, quantile() selects in a few linear passes and
+ * probAtOrBelow() is one pass; other weights, and curve(), read a
+ * stably sorted copy.
  *
  * Error handling is real (exceptions), not assert-only: querying an
  * empty CDF throws std::logic_error, and out-of-domain arguments
@@ -119,12 +120,10 @@ class WeightedCdf
     std::vector<std::pair<double, double>> curve(size_t n) const;
 
   private:
-    void ensureSorted() const;
-
-    mutable std::vector<std::pair<double, double>> samples_;
-    mutable std::vector<double> cum_weight_; // parallel to samples_
-    mutable bool sorted_ = true;
+    std::vector<std::pair<double, double>> samples_;
     double total_weight_ = 0.0;
+    // Every weight is an integer and every partial sum below 2^53.
+    bool exact_ = true;
 };
 
 } // namespace paichar::stats

@@ -116,6 +116,22 @@ TEST(ObsMetricsTest, GaugeSetRatchetsPeakButNeverLowersIt)
     EXPECT_EQ(g.peak(), 0);
 }
 
+TEST(ObsMetricsTest, GaugeRaiseKeepsTheMaximumInAnyOrder)
+{
+    // Raises commute: the level ends at the largest value raised, in
+    // either order, and a lower raise moves neither level nor peak.
+    Gauge &a = gauge("test.gauge_raise_a");
+    Gauge &b = gauge("test.gauge_raise_b");
+    a.raise(7);
+    a.raise(3);
+    b.raise(3);
+    b.raise(7);
+    for (Gauge *g : {&a, &b}) {
+        EXPECT_EQ(g->value(), 7);
+        EXPECT_EQ(g->peak(), 7);
+    }
+}
+
 TEST(ObsMetricsTest, EmptyHistogramQuantileIsNaNAndEmptyIsTrue)
 {
     Histogram &h = histogram("test.hist_empty_quantile");
@@ -554,6 +570,30 @@ TEST_F(ObsCliTest, OpenMetricsFormatIsSelectable)
                        "--metrics-format", "yaml"});
     EXPECT_EQ(bad.code, 1);
     EXPECT_NE(bad.err.find("--metrics-format"), std::string::npos);
+}
+
+TEST(ObsCliThreadsTest, SimTimeGaugeIsTheSameAtEveryThreadCount)
+{
+    // diagnose runs the planner, which drains its candidates'
+    // simulations in parallel. Each drain raises sim.time_us to its
+    // own end, so the gauge reads the latest end at every thread
+    // count, not whichever drain happened to finish last.
+    std::string metrics = testing::TempDir() + "/paichar_obs_simtime_" +
+                          std::to_string(::getpid()) + ".metrics";
+    for (const char *model : {"bert", "nmt"}) {
+        std::vector<uint64_t> seen;
+        for (const char *threads : {"1", "4", "4", "4", "4", "4", "4"}) {
+            obs::resetMetrics();
+            auto r = runCli({"diagnose", model, "--threads", threads,
+                             "--metrics=" + metrics});
+            ASSERT_EQ(r.code, 0) << r.err;
+            seen.push_back(metricValue(readFile(metrics), "sim.time_us"));
+        }
+        EXPECT_NE(seen[0], static_cast<uint64_t>(-1)) << model;
+        for (size_t i = 1; i < seen.size(); ++i)
+            EXPECT_EQ(seen[i], seen[0]) << model << " run " << i;
+    }
+    std::remove(metrics.c_str());
 }
 
 /**

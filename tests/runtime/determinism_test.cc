@@ -5,8 +5,8 @@
  * the full ClusterCharacterizer query surface, and the Table III
  * hardware sweep on a 10k-job synthetic trace with the serial path,
  * a 2-thread pool, and an (oversubscribed) 8-thread pool, and asserts
- * exact equality on every double produced. parallelSortByKey and the
- * characterizer's one-pass CDF fill are pinned the same way.
+ * exact equality on every double produced. The characterizer's
+ * one-pass CDF fill is pinned the same way.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -49,8 +48,7 @@ expectSameCdf(const stats::WeightedCdf &a, const stats::WeightedCdf &b,
     EXPECT_EQ(a.totalWeight(), b.totalWeight()) << what;
     if (a.empty())
         return;
-    // mean() first: before any query sorts the samples, it sums them
-    // in insertion order, so it also pins that order.
+    // mean() sums in insertion order, so it also pins that order.
     EXPECT_EQ(a.mean(), b.mean()) << what;
     EXPECT_EQ(a.min(), b.min()) << what;
     EXPECT_EQ(a.max(), b.max()) << what;
@@ -283,167 +281,6 @@ TEST(DeterminismTest, CsvParseMatchesAcrossThreadCounts)
     }
 }
 
-using SortItem = std::pair<double, int>;
-
-uint64_t
-itemKey(const SortItem &item)
-{
-    return runtime::doubleSortKey(item.first);
-}
-
-/** What parallelSortByKey must return: std::stable_sort by key. */
-std::vector<SortItem>
-stableSortedByKey(std::vector<SortItem> v)
-{
-    std::stable_sort(v.begin(), v.end(),
-                     [](const SortItem &a, const SortItem &b) {
-                         return itemKey(a) < itemKey(b);
-                     });
-    return v;
-}
-
-/**
- * parallelSortByKey on @p input with no pool, 1, 2 and 4 threads,
- * and nested on a worker, each equal to std::stable_sort by key.
- */
-void
-expectStableSortEverywhere(const std::vector<SortItem> &input)
-{
-    const std::vector<SortItem> expected = stableSortedByKey(input);
-    std::vector<SortItem> serial = input;
-    runtime::parallelSortByKey(nullptr, serial, itemKey);
-    EXPECT_EQ(expected, serial) << "no pool";
-
-    runtime::ThreadPool p1(1), p2(2), p4(4);
-    for (runtime::ThreadPool *pool : {&p1, &p2, &p4}) {
-        std::vector<SortItem> v = input;
-        runtime::parallelSortByKey(pool, v, itemKey);
-        EXPECT_EQ(expected, v) << pool->size() << " threads";
-    }
-
-    // Nested on a pool worker, the sort runs inline: same output.
-    std::vector<SortItem> nested = input;
-    runtime::parallelFor(&p4, 1, [&](size_t) {
-        runtime::parallelSortByKey(&p4, nested, itemKey);
-    });
-    EXPECT_EQ(expected, nested) << "nested";
-}
-
-TEST(ParallelSortTest, SameOutputAtEveryThreadCount)
-{
-    // Every key repeats, so equal keys carry distinct tags, and any
-    // difference in how a thread count orders them would show.
-    const size_t run = runtime::kSortRun;
-    for (size_t n : {size_t{0}, size_t{1}, run - 1, run, run + 1,
-                     3 * run + 7}) {
-        SCOPED_TRACE("n " + std::to_string(n));
-        stats::Rng rng(n + 1);
-        std::vector<SortItem> input(n);
-        for (size_t i = 0; i < n; ++i) {
-            input[i] = {static_cast<double>(rng.uniformInt(0, 99)),
-                        static_cast<int>(i)};
-        }
-        expectStableSortEverywhere(input);
-    }
-}
-
-TEST(ParallelSortTest, DoubleSortKeyPreservesOrder)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    const double dmax = std::numeric_limits<double>::max();
-    const double tiny = std::numeric_limits<double>::denorm_min();
-    const double dmin = std::numeric_limits<double>::min();
-    const std::vector<double> ascending = {
-        -inf, -dmax, -1e300, -2.5, -1.0, -dmin, -dmin / 2, -tiny,
-        0.0, tiny, 3 * tiny, dmin / 2, dmin, 1e-300, 1.0, 2.5, 1e300,
-        dmax, inf};
-    for (size_t i = 1; i < ascending.size(); ++i) {
-        EXPECT_LT(runtime::doubleSortKey(ascending[i - 1]),
-                  runtime::doubleSortKey(ascending[i]))
-            << ascending[i - 1] << " < " << ascending[i];
-    }
-    EXPECT_EQ(runtime::doubleSortKey(-0.0), runtime::doubleSortKey(0.0));
-}
-
-TEST(ParallelSortTest, EdgeKeysMatchStableSort)
-{
-    const double dmax = std::numeric_limits<double>::max();
-    const double tiny = std::numeric_limits<double>::denorm_min();
-    const double dmin = std::numeric_limits<double>::min();
-    const std::vector<double> edges = {
-        0.0,   -0.0,  -1.0,     1.0,       -2.5e-310, 2.5e-310, dmin,
-        -dmin, tiny,  -tiny,    dmax,      -dmax,     1e300,    -1e300,
-        0.5,   -0.5,  1e-300,   -1e-300,   3.0,       -3.0};
-    const size_t run = runtime::kSortRun;
-    auto tagged = [](size_t n, const std::function<double(size_t)> &f) {
-        std::vector<SortItem> v(n);
-        for (size_t i = 0; i < n; ++i)
-            v[i] = {f(i), static_cast<int>(i)};
-        return v;
-    };
-    for (size_t n : {size_t{2}, size_t{17}, run, 3 * run + 7}) {
-        SCOPED_TRACE("n " + std::to_string(n));
-        stats::Rng rng(n);
-        {
-            SCOPED_TRACE("edge values, shuffled");
-            expectStableSortEverywhere(tagged(n, [&](size_t) {
-                return edges[rng.uniformInt(0, edges.size() - 1)];
-            }));
-        }
-        {
-            SCOPED_TRACE("mixed zeros");
-            expectStableSortEverywhere(tagged(n, [&](size_t) {
-                return rng.uniformInt(0, 1) ? 0.0 : -0.0;
-            }));
-        }
-        {
-            SCOPED_TRACE("all equal");
-            expectStableSortEverywhere(
-                tagged(n, [](size_t) { return -7.25; }));
-        }
-        {
-            SCOPED_TRACE("already sorted");
-            expectStableSortEverywhere(tagged(n, [](size_t i) {
-                return static_cast<double>(i / 3) - 1000.0;
-            }));
-        }
-        {
-            SCOPED_TRACE("reversed");
-            expectStableSortEverywhere(tagged(n, [=](size_t i) {
-                return static_cast<double>((n - i) / 3) * 1e-310;
-            }));
-        }
-        // Each run holds its own range of values, shuffled, so after
-        // the run sorts every merge finds its runs in order; the
-        // mirror image puts every pair of runs out of order.
-        {
-            SCOPED_TRACE("runs in order");
-            expectStableSortEverywhere(tagged(n, [&](size_t i) {
-                return static_cast<double>(i / run * 1000 +
-                                           rng.uniformInt(0, 99));
-            }));
-        }
-        {
-            SCOPED_TRACE("runs in reverse order");
-            expectStableSortEverywhere(tagged(n, [&](size_t i) {
-                return -static_cast<double>(i / run * 1000 +
-                                            rng.uniformInt(0, 99));
-            }));
-        }
-    }
-    // The keys order the values as < does, with -0.0 tied to +0.0.
-    std::vector<SortItem> v = tagged(3 * run + 7, [&](size_t i) {
-        return edges[i % edges.size()];
-    });
-    std::vector<SortItem> by_value = v;
-    std::stable_sort(by_value.begin(), by_value.end(),
-                     [](const SortItem &a, const SortItem &b) {
-                         return a.first < b.first;
-                     });
-    runtime::parallelSortByKey(nullptr, v, itemKey);
-    EXPECT_EQ(by_value, v);
-}
-
 /**
  * A CDF built the way the characterizer built them before its
  * one-pass fill: add() for every kept index, in index order.
@@ -537,8 +374,7 @@ TEST(DeterminismTest, CharacterizerCdfsMatchAddBuiltReference)
 {
     core::AnalyticalModel model(hw::paiCluster());
     trace::SyntheticClusterGenerator gen(kSeed);
-    // Over three sort runs, so the CDFs take the sort's merges.
-    auto jobs = gen.generate(3 * runtime::kSortRun + 7, nullptr);
+    auto jobs = gen.generate(98311, nullptr);
     runtime::ThreadPool p4(4);
 
     {
