@@ -13,11 +13,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "paib_forge.h"
 #include "runtime/thread_pool.h"
 #include "trace/binary_trace.h"
 #include "trace/synthetic_cluster.h"
@@ -296,34 +296,6 @@ TEST(TraceFormatTest, BinaryRejectsChecksumMismatch)
     ParseResult r = fromBinary(bin);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("checksum"), std::string::npos);
-}
-
-/** Mirror of the paib word-folded FNV-1a-64, to forge payloads. */
-uint64_t
-refChecksum(const std::string &data)
-{
-    constexpr uint64_t kPrime = 1099511628211ull;
-    uint64_t h = 14695981039346656037ull;
-    size_t words = data.size() / 8;
-    for (size_t i = 0; i < words; ++i) {
-        uint64_t w;
-        std::memcpy(&w, data.data() + i * 8, 8);
-        h = (h ^ w) * kPrime;
-    }
-    for (size_t i = words * 8; i < data.size(); ++i)
-        h = (h ^ static_cast<unsigned char>(data[i])) * kPrime;
-    return h;
-}
-
-/** Patch @p body at @p pos with @p byte and append a valid checksum. */
-std::string
-forge(std::string bin, size_t pos, char byte)
-{
-    bin[pos] = byte;
-    std::string body = bin.substr(0, bin.size() - 8);
-    uint64_t sum = refChecksum(body);
-    body.append(reinterpret_cast<const char *>(&sum), sizeof sum);
-    return body;
 }
 
 TEST(TraceFormatTest, BinaryRejectsInvalidJobValues)
