@@ -314,8 +314,9 @@ fromCsv(const std::string &text)
 
 /**
  * Trace-I/O section: serial legacy CSV, the new serial and parallel
- * CSV parsers, and the paib binary codec over the same synthetic
- * trace, reported as jobs/s and MB/s JSON rows (the contents of
+ * CSV parsers, and the paib binary codec (parse = parseTrace() plus
+ * materialize(), a full decode) over the same synthetic trace,
+ * reported as jobs/s and MB/s JSON rows (the contents of
  * BENCH_trace_io.json). Job count defaults to 1M; override with
  * PAICHAR_TRACE_BENCH_JOBS for quick runs.
  */
@@ -343,7 +344,14 @@ runTraceIoSection()
         const char *format;
         size_t bytes;
         std::function<void()> body;
+        /** Untimed set-up run before each rep, if any. */
+        std::function<void()> setup = {};
     };
+    // The paib row decodes a fresh copy each rep: parseTrace() takes
+    // its bytes over. Copying them in and freeing the last rep's
+    // store are not part of the decode, so set-up does both.
+    std::string bin_copy;
+    trace::StoreResult bin_loaded;
     std::vector<Row> rows = {
         {"parse", "csv_serial_legacy", csv.size(),
          [&] {
@@ -362,8 +370,14 @@ runTraceIoSection()
          }},
         {"parse", "bin", bin.size(),
          [&] {
-             auto r = trace::fromBinary(bin);
-             benchmark::DoNotOptimize(r.jobs.size());
+             bin_loaded = trace::parseTrace(std::move(bin_copy),
+                                            runtime::globalPool());
+             auto decoded = bin_loaded.store.materialize();
+             benchmark::DoNotOptimize(decoded.size());
+         },
+         [&] {
+             bin_loaded = {};
+             bin_copy = bin;
          }},
         {"write", "csv", csv.size(),
          [&] {
@@ -381,6 +395,8 @@ runTraceIoSection()
     for (const Row &row : rows) {
         double best = 0.0;
         for (int rep = 0; rep < kReps; ++rep) {
+            if (row.setup)
+                row.setup();
             auto t0 = std::chrono::steady_clock::now();
             row.body();
             auto t1 = std::chrono::steady_clock::now();

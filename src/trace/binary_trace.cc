@@ -1,14 +1,15 @@
 #include "binary_trace.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <iterator>
 
 #include "obs/obs.h"
+#include "runtime/parallel.h"
 
 namespace paichar::trace {
 
-using workload::ArchType;
 using workload::TrainingJob;
 using workload::WorkloadFeatures;
 
@@ -55,15 +56,6 @@ checksum(const char *p, size_t n)
     return h;
 }
 
-ParseResult
-fail(const std::string &what)
-{
-    ParseResult r;
-    r.ok = false;
-    r.error = what;
-    return r;
-}
-
 template <typename T>
 void
 appendRaw(std::string &out, T v)
@@ -103,7 +95,7 @@ toBinary(const std::vector<TrainingJob> &jobs)
     appendRaw(out, static_cast<uint64_t>(n));
 
     // One gather pass per column keeps every array contiguous so the
-    // loader can bulk-copy it back.
+    // loader can read each column in place.
     for (const TrainingJob &j : jobs)
         appendRaw(out, static_cast<int64_t>(j.id));
     for (const TrainingJob &j : jobs)
@@ -123,72 +115,74 @@ toBinary(const std::vector<TrainingJob> &jobs)
     return out;
 }
 
-BinaryEnvelope
-validateBinaryEnvelope(std::string_view data)
+namespace {
+
+/**
+ * Check magic, version, size and checksum of @p data and locate the
+ * columns. Returns the error text, or empty when the envelope is
+ * sound; no row values are inspected (see rowError).
+ */
+std::string
+checkEnvelope(std::string_view data, size_t &count,
+              workload::JobColumns &cols)
 {
-    BinaryEnvelope env;
-    auto envFail = [&env](std::string what) {
-        env.error = std::move(what);
-        return env;
-    };
     if (!looksBinary(data))
-        return envFail("bad magic: not a paib trace");
+        return "bad magic: not a paib trace";
     if (data.size() < kHeaderBytes + kFooterBytes)
-        return envFail("truncated paib header");
+        return "truncated paib header";
 
     const char *base = data.data();
     uint32_t version = readRaw<uint32_t>(base + 4);
     if (version != kBinaryVersion) {
-        return envFail("unsupported paib version " +
-                       std::to_string(version) + " (expected " +
-                       std::to_string(kBinaryVersion) + ")");
+        return "unsupported paib version " + std::to_string(version) +
+               " (expected " + std::to_string(kBinaryVersion) + ")";
     }
-    uint64_t count = readRaw<uint64_t>(base + 8);
-    if (count > (data.size() - kHeaderBytes - kFooterBytes) /
-                    kBytesPerJob) {
-        return envFail("truncated paib trace: columns for " +
-                       std::to_string(count) +
-                       " jobs exceed the payload");
+    uint64_t n = readRaw<uint64_t>(base + 8);
+    if (n > (data.size() - kHeaderBytes - kFooterBytes) / kBytesPerJob) {
+        return "truncated paib trace: columns for " + std::to_string(n) +
+               " jobs exceed the payload";
     }
     size_t expected = kHeaderBytes +
-                      static_cast<size_t>(count) * kBytesPerJob +
+                      static_cast<size_t>(n) * kBytesPerJob +
                       kFooterBytes;
     if (data.size() != expected) {
-        return envFail("paib size mismatch: expected " +
-                       std::to_string(expected) + " bytes for " +
-                       std::to_string(count) + " jobs, got " +
-                       std::to_string(data.size()));
+        return "paib size mismatch: expected " +
+               std::to_string(expected) + " bytes for " +
+               std::to_string(n) + " jobs, got " +
+               std::to_string(data.size());
     }
 
     uint64_t stored = readRaw<uint64_t>(base + data.size() -
                                         kFooterBytes);
     if (stored != checksum(base, data.size() - kFooterBytes))
-        return envFail("paib checksum mismatch");
+        return "paib checksum mismatch";
 
     // Column base pointers in schema order. Columns are packed with
     // no padding, so everything after the uint8 arch array is
     // unaligned whenever n % 8 != 0 -- hence memcpy-only access.
-    const size_t n = static_cast<size_t>(count);
+    count = static_cast<size_t>(n);
     const char *p = base + kHeaderBytes;
-    env.columns.ids = p;
-    p += n * sizeof(int64_t);
-    env.columns.archs = p;
-    p += n * sizeof(uint8_t);
-    env.columns.cnodes = p;
-    p += n * sizeof(int32_t);
-    env.columns.ps = p;
-    p += n * sizeof(int32_t);
+    cols.ids = p;
+    p += count * sizeof(int64_t);
+    cols.archs = p;
+    p += count * sizeof(uint8_t);
+    cols.cnodes = p;
+    p += count * sizeof(int32_t);
+    cols.ps = p;
+    p += count * sizeof(int32_t);
     for (size_t k = 0; k < kNumFeatures; ++k) {
-        env.columns.features[k] = p;
-        p += n * sizeof(double);
+        cols.features[k] = p;
+        p += count * sizeof(double);
     }
-    env.count = n;
-    env.ok = true;
-    return env;
+    return {};
 }
 
+/**
+ * Check row @p i of sound columns. Returns the empty string when the
+ * row is well-formed, else the error text ("job N: ...").
+ */
 std::string
-validateBinaryRow(const workload::JobColumns &cols, size_t i)
+rowError(const workload::JobColumns &cols, size_t i)
 {
     auto rowFail = [i](const std::string &what) {
         return "job " + std::to_string(i) + ": " + what;
@@ -215,34 +209,54 @@ validateBinaryRow(const workload::JobColumns &cols, size_t i)
     return {};
 }
 
-ParseResult
-fromBinary(std::string_view data)
+} // namespace
+
+StoreResult
+viewBinary(std::string_view data, std::shared_ptr<const void> backing,
+           runtime::ThreadPool *pool)
 {
-    obs::Span span("trace.parse_bin",
-                   static_cast<int64_t>(data.size()));
-    BinaryEnvelope env = validateBinaryEnvelope(data);
-    if (!env.ok)
-        return fail(env.error);
+    obs::Span span("trace.map_bin", static_cast<int64_t>(data.size()));
+    StoreResult r;
+    size_t count = 0;
+    workload::JobColumns cols;
+    r.error = checkEnvelope(data, count, cols);
+    if (!r.error.empty())
+        return r;
 
-    ParseResult r;
-    r.ok = true;
-    r.jobs.reserve(env.count);
-
-    // One row-major pass: the column reads stream sequentially and
-    // every destination cache line is written exactly once, instead
-    // of eight sparse passes over a jobs array far bigger than the
-    // LLC. Rows are validated in index order, so the first bad job
-    // is the one reported.
-    workload::JobStore view = workload::JobStore::fromColumns(
-        env.count, env.columns, nullptr);
-    for (size_t i = 0; i < env.count; ++i) {
-        std::string row_error = validateBinaryRow(env.columns, i);
-        if (!row_error.empty())
-            return fail(row_error);
-        r.jobs.push_back(view.job(i));
+    // Validate rows in place, in parallel. Each range reports its
+    // first bad row; the minimum across ranges is the global first
+    // bad row, so acceptance AND the reported error are those of a
+    // serial pass for every pool size.
+    size_t max_chunks = 1;
+    if (pool && pool->size() > 1) {
+        max_chunks = std::min<size_t>(
+            static_cast<size_t>(pool->size()) * 4,
+            std::max<size_t>(1, count / 4096));
     }
-    obs::counter("trace.rows_parsed").add(r.jobs.size());
-    obs::counter("trace.bytes_parsed").add(data.size());
+    auto chunks = runtime::alignedChunks(count, max_chunks,
+                                         [](size_t pos) { return pos; });
+    std::vector<size_t> first_bad(chunks.size(), count);
+    runtime::parallelFor(pool, chunks.size(), [&](size_t c) {
+        for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
+            if (!rowError(cols, i).empty()) {
+                first_bad[c] = i;
+                return;
+            }
+        }
+    });
+    size_t bad = count;
+    for (size_t b : first_bad)
+        bad = std::min(bad, b);
+    if (bad < count) {
+        r.error = rowError(cols, bad);
+        return r;
+    }
+
+    obs::counter("trace.rows_mapped").add(count);
+    obs::counter("trace.bytes_mapped").add(data.size());
+    r.ok = true;
+    r.store = workload::JobStore::fromColumns(count, cols,
+                                              std::move(backing));
     return r;
 }
 

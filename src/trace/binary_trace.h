@@ -23,19 +23,21 @@
  *
  * Doubles are stored as raw IEEE-754 bits, so the round trip is exact
  * for every finite value (CSV shares this guarantee via shortest
- * round-trip formatting, but `paib` is ~3x smaller and ~10x faster).
+ * round-trip formatting, but `paib` is 25% smaller and needs no text
+ * parsing). The columns are read in place: a validated payload
+ * becomes a columnar workload::JobStore over the same bytes.
  */
 
 #ifndef PAICHAR_TRACE_BINARY_TRACE_H
 #define PAICHAR_TRACE_BINARY_TRACE_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "trace/trace_io.h"
-#include "workload/job_store.h"
 #include "workload/training_job.h"
 
 namespace paichar::trace {
@@ -53,40 +55,17 @@ bool looksBinary(std::string_view data);
 std::string toBinary(const std::vector<workload::TrainingJob> &jobs);
 
 /**
- * Parse a `paib` payload. Malformed input — bad magic, unsupported
- * version, truncated columns, checksum mismatch, or invalid job
- * values — yields a clean ParseResult error, never a crash.
+ * Validate a `paib` payload and view it as a columnar JobStore.
+ * Malformed input — bad magic, unsupported version, truncated
+ * columns, checksum mismatch, or invalid job values — yields a clean
+ * error, never a crash. Rows are validated in parallel on @p pool,
+ * and the first bad row is the one reported, for every pool size.
+ * The store reads @p data in place and holds @p backing, which must
+ * keep @p data alive.
  */
-ParseResult fromBinary(std::string_view data);
-
-/**
- * Envelope of a validated `paib` payload: the job count and the
- * column base pointers (into the caller's buffer). Shared between
- * fromBinary() and the zero-copy store loader so both reject
- * malformed input with identical error text.
- */
-struct BinaryEnvelope
-{
-    bool ok = false;
-    /** fromBinary()-identical error text when !ok. */
-    std::string error;
-    size_t count = 0;
-    workload::JobColumns columns;
-};
-
-/**
- * Validate magic, version, size and checksum of @p data and locate
- * the columns. No row values are inspected (see validateBinaryRow).
- */
-BinaryEnvelope validateBinaryEnvelope(std::string_view data);
-
-/**
- * Validate row @p i of a validated envelope's columns. Returns the
- * empty string when the row is well-formed, else the exact
- * fromBinary() error text ("job N: ...").
- */
-std::string validateBinaryRow(const workload::JobColumns &cols,
-                              size_t i);
+StoreResult viewBinary(std::string_view data,
+                       std::shared_ptr<const void> backing,
+                       runtime::ThreadPool *pool);
 
 } // namespace paichar::trace
 

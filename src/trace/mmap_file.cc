@@ -16,10 +16,15 @@ std::optional<MappedFile>
 MappedFile::map(const std::string &path)
 {
 #if PAICHAR_HAVE_MMAP
+    // Check the type before opening: open() on a FIFO would block
+    // until a writer appears, and closing it again could leave that
+    // writer with no reader.
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode))
+        return std::nullopt;
     int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return std::nullopt;
-    struct stat st;
     if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
         ::close(fd);
         return std::nullopt;

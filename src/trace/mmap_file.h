@@ -1,14 +1,15 @@
 /**
  * @file
- * Read-only memory-mapped file (RAII). The zero-copy trace path maps
- * a `paib` file and hands its pages straight to the columnar
- * JobStore; the kernel then faults in only the pages the analyses
- * actually touch, and a 100M-job trace never transits a read()
- * buffer.
+ * Read-only memory-mapped file (RAII). trace::readTraceStore maps
+ * every regular trace file and hands a `paib` file's pages straight
+ * to the columnar JobStore; the kernel then faults in only the pages
+ * the analyses actually touch, and a 100M-job trace never transits a
+ * read() buffer.
  *
- * On platforms without mmap (or when mapping fails — pipes, procfs,
- * exotic filesystems) callers fall back to buffered reads; see
- * trace::readTraceStore.
+ * Only regular files are mapped. A pipe or FIFO is never opened here
+ * (opening a FIFO would wait for a writer, and closing it again could
+ * cut that writer off), and on platforms without mmap nothing is
+ * mapped: trace::readTraceStore reads those to EOF instead.
  */
 
 #ifndef PAICHAR_TRACE_MMAP_FILE_H
@@ -25,9 +26,9 @@ class MappedFile
 {
   public:
     /**
-     * Map @p path read-only. nullopt when the file cannot be opened
-     * or mapped (the caller should fall back to buffered reads; a
-     * nonexistent path fails here too). An empty file maps to a
+     * Map @p path read-only. nullopt when it is not a regular file or
+     * cannot be opened or mapped (a nonexistent path fails here too);
+     * the caller then reads it another way. An empty file maps to a
      * valid empty view.
      */
     static std::optional<MappedFile> map(const std::string &path);

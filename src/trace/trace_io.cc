@@ -1,10 +1,13 @@
 #include "trace_io.h"
 
-#include <array>
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -27,25 +30,6 @@ constexpr size_t kFields = 12;
 
 /** Chunks below this size are not worth a pool dispatch. */
 constexpr size_t kMinChunkBytes = size_t{64} * 1024;
-
-bool
-parseDouble(std::string_view s, double &out)
-{
-    // from_chars is locale-free and rejects leading whitespace and
-    // '+' signs, so the accepted grammar is exactly the one toCsv
-    // emits; "inf"/"nan" parse but fail the finiteness check.
-    const char *end = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(s.data(), end, out);
-    return ec == std::errc() && ptr == end && std::isfinite(out);
-}
-
-bool
-parseInt(std::string_view s, int64_t &out)
-{
-    const char *end = s.data() + s.size();
-    auto [ptr, ec] = std::from_chars(s.data(), end, out);
-    return ec == std::errc() && ptr == end;
-}
 
 ParseResult
 fail(size_t line_no, const std::string &what)
@@ -106,107 +90,83 @@ struct ChunkOutcome
 };
 
 /**
- * Hot path: parse one row by walking a pointer through [p, end),
- * letting from_chars do the delimiting (no field pre-split, no
- * allocation). Returns the position just past the row's newline on
- * success, nullptr on *any* mismatch — the caller then re-parses the
- * line on the slow path to produce the exact diagnostic.
+ * The row grammar: parse one row by walking a pointer through
+ * [p, end), letting from_chars do the delimiting (no field pre-split,
+ * no allocation). Returns the position just past the row's line
+ * ending, or nullptr with @p bad set to the schema index of the first
+ * field that failed (trailing junk counts against the last field),
+ * or to kFields when every field parses but the features fail
+ * validation.
  *
  * @p end is the chunk end; a scan can only reach a later line of the
- * same chunk through a malformed row, in which case the arch lookup
- * (names never contain '\n') or a delimiter check fails and the slow
- * path takes over with the true line extent.
+ * same chunk through a row with too few fields (architecture names
+ * never contain '\n'), and rowError() reports those by their count.
  */
-/**
- * Branchy arch lookup for the hot path: the six names have nearly
- * unique lengths, so one length dispatch plus one memcmp decides.
- * Must accept exactly the archFromString() vocabulary.
- */
-bool
-fastArch(const char *p, size_t len, workload::ArchType &out)
-{
-    using workload::ArchType;
-    switch (len) {
-      case 4:
-        if (std::memcmp(p, "1w1g", 4) == 0) {
-            out = ArchType::OneWorkerOneGpu;
-            return true;
-        }
-        if (std::memcmp(p, "1wng", 4) == 0) {
-            out = ArchType::OneWorkerMultiGpu;
-            return true;
-        }
-        return false;
-      case 5:
-        out = ArchType::Pearl;
-        return std::memcmp(p, "PEARL", 5) == 0;
-      case 9:
-        out = ArchType::PsWorker;
-        return std::memcmp(p, "PS/Worker", 9) == 0;
-      case 15:
-        out = ArchType::AllReduceLocal;
-        return std::memcmp(p, "AllReduce-Local", 15) == 0;
-      case 17:
-        out = ArchType::AllReduceCluster;
-        return std::memcmp(p, "AllReduce-Cluster", 17) == 0;
-      default:
-        return false;
-    }
-}
-
 const char *
-fastParseLine(const char *p, const char *end, TrainingJob &j)
+parseLine(const char *p, const char *end, TrainingJob &j, size_t &bad)
 {
-    int64_t iv;
-    auto ri = std::from_chars(p, end, iv);
-    if (ri.ec != std::errc() || ri.ptr == end || *ri.ptr != ',')
+    auto fail = [&bad](size_t field) -> const char * {
+        bad = field;
         return nullptr;
+    };
+    // An integer field in [lo, hi] and its ',' delimiter. The counts
+    // stop at int32 max, the width of their paib columns.
+    int64_t iv;
+    auto intField = [&](int64_t lo, int64_t hi) {
+        auto r = std::from_chars(p, end, iv);
+        if (r.ec != std::errc() || r.ptr == end || *r.ptr != ',' ||
+            iv < lo || iv > hi)
+            return false;
+        p = r.ptr + 1;
+        return true;
+    };
+    constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+
+    if (!intField(std::numeric_limits<int64_t>::min(),
+                  std::numeric_limits<int64_t>::max()))
+        return fail(0);
     j.id = iv;
-    p = ri.ptr + 1;
 
     const char *c = static_cast<const char *>(
         std::memchr(p, ',', static_cast<size_t>(end - p)));
-    if (!c || !fastArch(p, static_cast<size_t>(c - p), j.arch))
-        return nullptr;
+    auto arch = c ? workload::archFromString(
+                        {p, static_cast<size_t>(c - p)})
+                  : std::nullopt;
+    if (!arch)
+        return fail(1);
+    j.arch = *arch;
     p = c + 1;
 
-    ri = std::from_chars(p, end, iv);
-    if (ri.ec != std::errc() || ri.ptr == end || *ri.ptr != ',' ||
-        iv < 1)
-        return nullptr;
+    if (!intField(1, kInt32Max))
+        return fail(2);
     j.num_cnodes = static_cast<int>(iv);
-    p = ri.ptr + 1;
-
-    ri = std::from_chars(p, end, iv);
-    if (ri.ec != std::errc() || ri.ptr == end || *ri.ptr != ',' ||
-        iv < 0)
-        return nullptr;
+    if (!intField(0, kInt32Max))
+        return fail(3);
     j.num_ps = static_cast<int>(iv);
-    p = ri.ptr + 1;
 
     // Unrolled so each value lands straight in its member instead of
     // through a pointer table the optimizer cannot hoist.
-#define PAICHAR_PARSE_FEATURE(member, delim)                          \
+#define PAICHAR_PARSE_FEATURE(member, field, delim)                   \
     {                                                                 \
         auto rd = std::from_chars(p, end, j.features.member);         \
         if (rd.ec != std::errc() ||                                   \
             !std::isfinite(j.features.member))                        \
-            return nullptr;                                           \
+            return fail(field);                                       \
         p = rd.ptr;                                                   \
         if (delim) {                                                  \
             if (p == end || *p != ',')                                \
-                return nullptr;                                       \
+                return fail(field);                                   \
             ++p;                                                      \
         }                                                             \
     }
-    PAICHAR_PARSE_FEATURE(batch_size, true)
-    PAICHAR_PARSE_FEATURE(flop_count, true)
-    PAICHAR_PARSE_FEATURE(mem_access_bytes, true)
-    PAICHAR_PARSE_FEATURE(input_bytes, true)
-    PAICHAR_PARSE_FEATURE(comm_bytes, true)
-    PAICHAR_PARSE_FEATURE(embedding_comm_bytes, true)
-    PAICHAR_PARSE_FEATURE(dense_weight_bytes, true)
-    PAICHAR_PARSE_FEATURE(embedding_weight_bytes, false)
+    PAICHAR_PARSE_FEATURE(batch_size, 4, true)
+    PAICHAR_PARSE_FEATURE(flop_count, 5, true)
+    PAICHAR_PARSE_FEATURE(mem_access_bytes, 6, true)
+    PAICHAR_PARSE_FEATURE(input_bytes, 7, true)
+    PAICHAR_PARSE_FEATURE(comm_bytes, 8, true)
+    PAICHAR_PARSE_FEATURE(embedding_comm_bytes, 9, true)
+    PAICHAR_PARSE_FEATURE(dense_weight_bytes, 10, true)
+    PAICHAR_PARSE_FEATURE(embedding_weight_bytes, 11, false)
 #undef PAICHAR_PARSE_FEATURE
     // Row terminator: end of chunk, LF, or CRLF.
     if (p != end) {
@@ -215,81 +175,43 @@ fastParseLine(const char *p, const char *end, TrainingJob &j)
         } else if (*p == '\r' && (p + 1 == end || p[1] == '\n')) {
             p += (p + 1 == end) ? 1 : 2;
         } else {
-            return nullptr; // extra fields or trailing junk
+            return fail(kFields - 1); // extra fields or trailing junk
         }
     }
     if (!j.features.valid())
-        return nullptr;
+        return fail(kFields);
     return p;
 }
 
 /**
- * Cold path: re-parse a row the fast path rejected, with the field
- * splitting needed for precise messages ("expected 12 fields, got
- * 9", the offending field's text, ...). Returns the error text
- * (without the "line N: " prefix), or empty if the line is valid
- * after all — unreachable in practice since both paths accept the
- * same grammar, but then the parse simply proceeds with @p j.
+ * The message for @p line, which parseLine() rejected at field
+ * @p bad: a wrong field count comes first, else the failed field is
+ * quoted.
  */
 std::string
-parseLineSlow(std::string_view line, TrainingJob &j)
+rowError(std::string_view line, size_t bad)
 {
+    // One trailing '\r' is the CRLF line ending; any other is data.
     if (!line.empty() && line.back() == '\r')
         line.remove_suffix(1);
-
-    std::array<std::string_view, kFields> fields;
-    size_t nfields = 0;
-    size_t start = 0;
-    bool overflow = false;
-    for (size_t i = 0;; ++i) {
-        if (i == line.size() || line[i] == ',') {
-            if (nfields < kFields)
-                fields[nfields] = line.substr(start, i - start);
-            else
-                overflow = true;
-            ++nfields;
-            start = i + 1;
-            if (i == line.size())
-                break;
-        }
+    size_t nfields =
+        1 + static_cast<size_t>(std::count(line.begin(), line.end(), ','));
+    if (nfields != kFields) {
+        return "expected " + std::to_string(kFields) + " fields, got " +
+               std::to_string(nfields);
     }
-    if (overflow || nfields != kFields) {
-        return "expected " + std::to_string(kFields) +
-               " fields, got " + std::to_string(nfields);
-    }
-
-    int64_t iv;
-    if (!parseInt(fields[0], iv))
-        return "bad id '" + std::string(fields[0]) + "'";
-    j.id = iv;
-    auto arch = workload::archFromString(fields[1]);
-    if (!arch)
-        return "unknown architecture '" + std::string(fields[1]) +
-               "'";
-    j.arch = *arch;
-    if (!parseInt(fields[2], iv) || iv < 1)
-        return "bad num_cnodes '" + std::string(fields[2]) + "'";
-    j.num_cnodes = static_cast<int>(iv);
-    if (!parseInt(fields[3], iv) || iv < 0)
-        return "bad num_ps '" + std::string(fields[3]) + "'";
-    j.num_ps = static_cast<int>(iv);
-
-    double *slots[] = {&j.features.batch_size,
-                       &j.features.flop_count,
-                       &j.features.mem_access_bytes,
-                       &j.features.input_bytes,
-                       &j.features.comm_bytes,
-                       &j.features.embedding_comm_bytes,
-                       &j.features.dense_weight_bytes,
-                       &j.features.embedding_weight_bytes};
-    for (size_t s = 0; s < 8; ++s) {
-        if (!parseDouble(fields[4 + s], *slots[s]))
-            return "bad numeric field '" +
-                   std::string(fields[4 + s]) + "'";
-    }
-    if (!j.features.valid())
+    if (bad == kFields)
         return "features fail validation";
-    return {};
+    size_t start = 0;
+    for (size_t k = 0; k < bad; ++k)
+        start = line.find(',', start) + 1;
+    std::string_view field =
+        line.substr(start, line.find(',', start) - start);
+    constexpr const char *kWhat[] = {"bad id", "unknown architecture",
+                                     "bad num_cnodes", "bad num_ps"};
+    return std::string(bad < std::size(kWhat) ? kWhat[bad]
+                                              : "bad numeric field") +
+           " '" + std::string(field) + "'";
 }
 
 /** Parse body[lo, hi); lo and hi sit on line starts (or at the end). */
@@ -315,43 +237,41 @@ parseChunk(std::string_view body, size_t lo, size_t hi)
             continue;
         }
 
-        TrainingJob &j = out.jobs.emplace_back();
-        if (const char *next = fastParseLine(p, end, j)) {
+        size_t bad = 0;
+        if (const char *next =
+                parseLine(p, end, out.jobs.emplace_back(), bad)) {
             p = next;
             continue;
         }
 
         const char *nl = static_cast<const char *>(std::memchr(
             p, '\n', static_cast<size_t>(end - p)));
-        std::string_view line(
-            p, static_cast<size_t>((nl ? nl : end) - p));
-        std::string err = parseLineSlow(line, j);
-        if (!err.empty()) {
-            out.jobs.pop_back();
-            out.has_error = true;
-            out.error = std::move(err);
-            return out;
-        }
-        p = nl ? nl + 1 : end;
+        out.jobs.pop_back();
+        out.has_error = true;
+        out.error = rowError(
+            {p, static_cast<size_t>((nl ? nl : end) - p)}, bad);
+        return out;
     }
     return out;
 }
 
-std::optional<std::string>
-readFileToString(const std::string &path)
+/**
+ * The decode step shared by both entry points. A `paib` store reads
+ * @p data in place and keeps @p backing alive; CSV parses into an
+ * owned store and drops it.
+ */
+StoreResult
+decode(std::string_view data, std::shared_ptr<const void> backing,
+       runtime::ThreadPool *pool)
 {
-    std::ifstream is(path, std::ios::binary | std::ios::ate);
-    if (!is)
-        return std::nullopt;
-    auto size = is.tellg();
-    if (size < 0)
-        return std::nullopt;
-    std::string data;
-    data.resize(static_cast<size_t>(size));
-    is.seekg(0);
-    if (size > 0 && !is.read(data.data(), size))
-        return std::nullopt;
-    return data;
+    if (looksBinary(data))
+        return viewBinary(data, std::move(backing), pool);
+    ParseResult parsed = fromCsv(data, pool);
+    StoreResult r;
+    r.ok = parsed.ok;
+    r.error = std::move(parsed.error);
+    r.store = workload::JobStore(std::move(parsed.jobs));
+    return r;
 }
 
 } // namespace
@@ -506,110 +426,44 @@ writeTraceFile(const std::string &path,
     return static_cast<bool>(os);
 }
 
-ParseResult
-readTraceFile(const std::string &path, runtime::ThreadPool *pool)
+StoreResult
+parseTrace(std::string bytes, runtime::ThreadPool *pool)
 {
-    auto data = readFileToString(path);
-    if (!data) {
-        ParseResult r;
-        r.ok = false;
-        r.error = "cannot open '" + path + "'";
-        return r;
-    }
-    if (looksBinary(*data))
-        return fromBinary(*data);
-    return fromCsv(*data, pool);
+    auto owned = std::make_shared<const std::string>(std::move(bytes));
+    std::string_view data = *owned;
+    return decode(data, std::move(owned), pool);
 }
 
 StoreResult
 readTraceStore(const std::string &path, runtime::ThreadPool *pool)
 {
-    auto storeFail = [](std::string what) {
-        StoreResult r;
-        r.error = std::move(what);
-        return r;
-    };
-    auto fromParse = [&storeFail](ParseResult pr) {
-        if (!pr.ok)
-            return storeFail(std::move(pr.error));
-        StoreResult r;
-        r.ok = true;
-        r.store = workload::JobStore(std::move(pr.jobs));
-        return r;
-    };
-
-    auto mapped = MappedFile::map(path);
-    if (!mapped) {
-        // Unmappable (nonexistent, pipe, exotic fs): the buffered
-        // reader supplies both the fallback and the error text
-        // ("cannot open ..." for the nonexistent case).
-        return fromParse(readTraceFile(path, pool));
+    if (auto mapped = MappedFile::map(path)) {
+        auto backing =
+            std::make_shared<const MappedFile>(std::move(*mapped));
+        return decode(backing->view(), backing, pool);
     }
-    std::string_view data = mapped->view();
-    if (!looksBinary(data))
-        return fromParse(fromCsv(data, pool));
 
-    obs::Span span("trace.map_bin",
-                   static_cast<int64_t>(data.size()));
-    BinaryEnvelope env = validateBinaryEnvelope(data);
-    if (!env.ok)
-        return storeFail(std::move(env.error));
-
-    // Validate rows in place, in parallel. Each range reports its
-    // first bad row; the minimum across ranges is the global first
-    // bad row, so acceptance AND the reported error are identical to
-    // the serial fromBinary() pass for every pool size.
-    size_t max_chunks = 1;
-    if (pool && pool->size() > 1) {
-        max_chunks = std::min<size_t>(
-            static_cast<size_t>(pool->size()) * 4,
-            std::max<size_t>(1, env.count / 4096));
-    }
-    auto chunks = runtime::alignedChunks(env.count, max_chunks,
-                                         [](size_t pos) { return pos; });
-    std::vector<size_t> first_bad(chunks.size(), env.count);
-    runtime::parallelFor(pool, chunks.size(), [&](size_t c) {
-        for (size_t i = chunks[c].first; i < chunks[c].second; ++i) {
-            if (!validateBinaryRow(env.columns, i).empty()) {
-                first_bad[c] = i;
-                return;
-            }
-        }
-    });
-    size_t bad = env.count;
-    for (size_t b : first_bad)
-        bad = std::min(bad, b);
-    if (bad < env.count)
-        return storeFail(validateBinaryRow(env.columns, bad));
-
-    obs::counter("trace.rows_mapped").add(env.count);
-    obs::counter("trace.bytes_mapped").add(data.size());
+    // Not a regular file (a pipe), or no mmap on this platform: read
+    // to EOF, whatever size the file claims.
     StoreResult r;
-    r.ok = true;
-    r.store = workload::JobStore::fromColumns(
-        env.count, env.columns,
-        std::make_shared<MappedFile>(std::move(*mapped)));
-    return r;
-}
-
-bool
-writeCsvFile(const std::string &path,
-             const std::vector<TrainingJob> &jobs)
-{
-    return writeTraceFile(path, jobs, TraceFormat::Csv);
-}
-
-ParseResult
-readCsvFile(const std::string &path)
-{
-    auto data = readFileToString(path);
-    if (!data) {
-        ParseResult r;
-        r.ok = false;
+    struct Closer
+    {
+        void operator()(std::FILE *f) const { std::fclose(f); }
+    };
+    std::unique_ptr<std::FILE, Closer> f(std::fopen(path.c_str(), "rb"));
+    if (!f) {
         r.error = "cannot open '" + path + "'";
         return r;
     }
-    return fromCsv(*data);
+    std::string bytes;
+    char buf[64 * 1024];
+    while (size_t n = std::fread(buf, 1, sizeof buf, f.get()))
+        bytes.append(buf, n);
+    if (std::ferror(f.get())) {
+        r.error = "cannot read '" + path + "'";
+        return r;
+    }
+    return parseTrace(std::move(bytes), pool);
 }
 
 } // namespace paichar::trace

@@ -12,8 +12,10 @@
  *
  * `arch` uses the paper-style names ("1w1g", "PS/Worker", ...); all
  * quantities are plain decimal numbers in base units, written in the
- * shortest form that round-trips the exact double value. Lines end in
- * LF; CRLF input is accepted; blank lines are skipped.
+ * shortest form that round-trips the exact double value.
+ * `num_cnodes` (at least 1) and `num_ps` (at least 0) must fit in
+ * int32, the width of their `paib` columns. Lines end in LF; CRLF
+ * input is accepted; blank lines are skipped.
  *
  * Parsing is single-pass and allocation-free per field
  * (std::string_view scanning + std::from_chars) and optionally
@@ -21,8 +23,9 @@
  * concurrently and spliced in index order, so jobs *and* error line
  * numbers are byte-identical to the serial path for any thread count.
  *
- * The binary format (binary_trace.h) is detected by magic, so
- * readTraceFile() accepts either format transparently.
+ * Every trace enters through one decode step: readTraceStore() for a
+ * path, parseTrace() for bytes already in memory. Both detect the
+ * binary format (binary_trace.h) by magic and return a JobStore.
  */
 
 #ifndef PAICHAR_TRACE_TRACE_IO_H
@@ -42,7 +45,7 @@ class ThreadPool;
 
 namespace paichar::trace {
 
-/** Outcome of parsing a trace. */
+/** Outcome of parsing a CSV trace into jobs. */
 struct ParseResult
 {
     bool ok = false;
@@ -56,8 +59,8 @@ enum class TraceFormat
 {
     /** Human-readable CSV (the interchange default). */
     Csv,
-    /** `paib` binary columnar (binary_trace.h); ~3x smaller, ~10x
-        faster to load. */
+    /** `paib` binary columnar (binary_trace.h); 25% smaller, and
+        read in place with no text parsing. */
     Binary,
 };
 
@@ -85,45 +88,41 @@ bool writeTraceFile(const std::string &path,
                     const std::vector<workload::TrainingJob> &jobs,
                     TraceFormat format);
 
-/**
- * Read a trace from a file, auto-detecting the format by magic:
- * `paib` payloads take the binary loader, everything else parses as
- * CSV (on @p pool when given).
- */
-ParseResult readTraceFile(const std::string &path,
-                          runtime::ThreadPool *pool = nullptr);
-
 /** Outcome of loading a trace into a JobStore. */
 struct StoreResult
 {
     bool ok = false;
-    /** readTraceFile()-identical error text when !ok. */
+    /** Human-readable error when !ok: "line N: ..." for CSV, "job N:
+        ..." or an envelope message for `paib`, "cannot ..." for I/O. */
     std::string error;
     workload::JobStore store;
 };
 
 /**
- * Read a trace into a JobStore, zero-copy where possible.
+ * Decode a trace held in memory, auto-detecting the format by magic.
  *
- * `paib` files are memory-mapped and validated in place (rows in
- * parallel on @p pool); the returned store borrows the mapping's
- * columns and keeps it alive, so jobs are assembled on access and a
- * 100M-job trace costs no per-job heap state. CSV files (and any
- * file that cannot be mapped) take the buffered readTraceFile()
- * path and come back as an owned store.
+ * `paib` payloads are validated in place (rows in parallel on
+ * @p pool) and come back as a columnar store that owns @p bytes, so
+ * jobs are assembled on access. Anything else parses as CSV (on
+ * @p pool when given) into an owned store. Error text and jobs are
+ * the same for every pool size.
+ */
+StoreResult parseTrace(std::string bytes,
+                       runtime::ThreadPool *pool = nullptr);
+
+/**
+ * Read a trace file into a JobStore, zero-copy where possible.
  *
- * Rejection behavior is identical to readTraceFile(): the same
- * malformed inputs fail with the same error text.
+ * A regular file is memory-mapped, so a 100M-job `paib` trace costs
+ * no per-job heap state: the store borrows the mapping's columns and
+ * keeps it alive. Anything that cannot be mapped (a pipe, or every
+ * file on a platform without mmap) is read to EOF first. Either way
+ * the bytes take the parseTrace() decode step, with the same result
+ * and error text. A missing file fails with "cannot open '...'", an
+ * unreadable one (a directory) with "cannot read '...'".
  */
 StoreResult readTraceStore(const std::string &path,
                            runtime::ThreadPool *pool = nullptr);
-
-/** Write a CSV trace to a file; returns false on I/O failure. */
-bool writeCsvFile(const std::string &path,
-                  const std::vector<workload::TrainingJob> &jobs);
-
-/** Read a CSV trace from a file (no format auto-detection). */
-ParseResult readCsvFile(const std::string &path);
 
 } // namespace paichar::trace
 

@@ -206,6 +206,43 @@ TEST_F(CliWithTraceTest, ConvertRejectsBadFormatAndMissingArgs)
     EXPECT_NE(nofile.err.find("cannot open"), std::string::npos);
 }
 
+TEST(CliTest, ConvertRejectsCountsAboveInt32)
+{
+    // paib stores num_cnodes and num_ps as int32; a wider CSV value
+    // used to wrap on the way in and come out of convert altered.
+    std::string dir = testing::TempDir() + "/paichar_cli_wide_" +
+                      std::to_string(::getpid());
+    const std::string header =
+        "id,arch,num_cnodes,num_ps,batch_size,flop_count,"
+        "mem_access_bytes,input_bytes,comm_bytes,embedding_comm_bytes,"
+        "dense_weight_bytes,embedding_weight_bytes\n";
+    struct Case
+    {
+        const char *row;
+        const char *error;
+    };
+    for (Case c : {Case{"0,PS/Worker,2147483648,1,32,1,1,1,0,0,10,0",
+                        "error: line 2: bad num_cnodes '2147483648'\n"},
+                   Case{"0,PS/Worker,4294967297,1,32,1,1,1,0,0,10,0",
+                        "error: line 2: bad num_cnodes '4294967297'\n"},
+                   Case{"0,PS/Worker,2,4294967296,32,1,1,1,0,0,10,0",
+                        "error: line 2: bad num_ps '4294967296'\n"}}) {
+        std::string in = dir + ".csv", out = dir + ".paib";
+        std::FILE *f = std::fopen(in.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fputs((header + c.row + "\n").c_str(), f);
+        std::fclose(f);
+        std::remove(out.c_str());
+        auto r = runCli({"convert", in, out});
+        EXPECT_EQ(r.code, 1);
+        EXPECT_EQ(r.err, c.error);
+        EXPECT_TRUE(r.out.empty());
+        EXPECT_NE(::access(out.c_str(), F_OK), 0)
+            << "convert wrote " << out;
+        std::remove(in.c_str());
+    }
+}
+
 TEST(CliTest, GenerateBinaryRequiresOut)
 {
     auto r = runCli({"generate", "--jobs", "5", "--trace-format",

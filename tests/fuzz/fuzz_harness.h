@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared entry point for the trace-parser fuzz target and the corpus
- * replay test: one input buffer in, parsed through the same
- * auto-detection path the CLI uses (`paib` magic -> binary decoder,
- * anything else -> CSV parser), with round-trip cross-checks on
- * accepted inputs.
+ * Shared entry point for the trace-loader fuzz target and the corpus
+ * replay test: one input buffer in, decoded by trace::parseTrace(),
+ * the step every trace the CLI reads takes (`paib` magic -> envelope
+ * check, parallel row scan and columnar view; anything else -> CSV
+ * parser), with round-trip cross-checks on accepted inputs.
  *
  * The harness must never crash, assert, or hang on arbitrary bytes —
- * that is the contract being fuzzed (trace/binary_trace.h promises a
- * clean ParseResult error for malformed input).
+ * that is the contract being fuzzed (the loader promises a clean
+ * error for malformed input).
  */
 
 #ifndef PAICHAR_TESTS_FUZZ_FUZZ_HARNESS_H
@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 #include "trace/binary_trace.h"
@@ -23,26 +24,24 @@
 
 namespace paichar::testkit_fuzz {
 
-/** Parse @p data the way readTraceFile() would (by magic). */
-inline trace::ParseResult
+/** Decode @p data the way readTraceStore() does once it has bytes. */
+inline trace::StoreResult
 fuzzParse(std::string_view data)
 {
-    if (trace::looksBinary(data))
-        return trace::fromBinary(data);
-    return trace::fromCsv(data);
+    return trace::parseTrace(std::string(data));
 }
 
 /**
  * One fuzz iteration. Accepted inputs are additionally round-tripped
- * through both encoders: a value the parser accepted must serialize
- * and re-parse to the same jobs, in both CSV and `paib`. A round-trip
- * mismatch aborts, which libFuzzer reports as a crash with the
- * offending input preserved.
+ * through both encoders: a value the loader accepted must serialize
+ * and load back to the same jobs, in both CSV and `paib`. A
+ * round-trip mismatch aborts, which libFuzzer reports as a crash with
+ * the offending input preserved.
  */
 inline void
 fuzzOne(std::string_view data)
 {
-    trace::ParseResult r = fuzzParse(data);
+    trace::StoreResult r = fuzzParse(data);
     if (!r.ok) {
         // Errors must be described; a silent failure is a bug.
         if (r.error.empty()) {
@@ -51,15 +50,13 @@ fuzzOne(std::string_view data)
         }
         return;
     }
-    const std::string csv = trace::toCsv(r.jobs);
-    trace::ParseResult rt_csv = trace::fromCsv(csv);
-    const std::string bin = trace::toBinary(r.jobs);
-    trace::ParseResult rt_bin = trace::fromBinary(bin);
+    const auto jobs = r.store.materialize();
+    const std::string csv = trace::toCsv(jobs);
+    trace::StoreResult rt_csv = trace::parseTrace(csv);
+    trace::StoreResult rt_bin = trace::parseTrace(trace::toBinary(jobs));
     if (!rt_csv.ok || !rt_bin.ok ||
-        rt_csv.jobs.size() != r.jobs.size() ||
-        rt_bin.jobs.size() != r.jobs.size() ||
-        trace::toCsv(rt_csv.jobs) != csv ||
-        trace::toCsv(rt_bin.jobs) != csv) {
+        trace::toCsv(rt_csv.store.materialize()) != csv ||
+        trace::toCsv(rt_bin.store.materialize()) != csv) {
         std::fprintf(stderr, "round-trip mismatch on accepted input\n");
         std::abort();
     }

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fuzz_harness.h"
+#include "runtime/thread_pool.h"
 
 namespace paichar::testkit_fuzz {
 namespace {
@@ -76,10 +77,10 @@ TEST(FuzzReplayTest, EveryCorpusFileReplaysCleanly)
         const std::string data = slurp(p);
         // The harness aborts on round-trip or error-hygiene bugs.
         fuzzOne(data);
-        trace::ParseResult r = fuzzParse(data);
+        trace::StoreResult r = fuzzParse(data);
         if (p.filename().string().rfind("ok_", 0) == 0) {
             EXPECT_TRUE(r.ok) << r.error;
-            EXPECT_FALSE(r.jobs.empty());
+            EXPECT_FALSE(r.store.empty());
         } else {
             EXPECT_FALSE(r.ok);
             EXPECT_FALSE(r.error.empty());
@@ -87,23 +88,26 @@ TEST(FuzzReplayTest, EveryCorpusFileReplaysCleanly)
     }
 }
 
-// The zero-copy mmap reader is a second consumer of the same wire
-// format: every corpus file must be accepted/rejected exactly like
-// the buffered parser, with byte-identical error text.
+// A corpus file read by path (mapped) must load exactly like its
+// bytes handed to the fuzz entry point, at 1 and 4 threads: same
+// verdict, byte-identical error text, same jobs.
 TEST(FuzzReplayTest, StoreReaderAgreesWithParserOnWholeCorpus)
 {
+    runtime::ThreadPool p1(1), p4(4);
     for (const auto &p : corpusFiles()) {
         SCOPED_TRACE(p.filename().string());
         const std::string data = slurp(p);
-        trace::ParseResult parsed = fuzzParse(data);
-        trace::StoreResult store =
-            trace::readTraceStore(p.string());
-        EXPECT_EQ(store.ok, parsed.ok);
-        EXPECT_EQ(store.error, parsed.error);
-        if (parsed.ok) {
-            ASSERT_EQ(store.store.size(), parsed.jobs.size());
-            EXPECT_EQ(trace::toCsv(store.store.materialize()),
-                      trace::toCsv(parsed.jobs));
+        for (runtime::ThreadPool *pool : {&p1, &p4}) {
+            trace::StoreResult parsed = trace::parseTrace(data, pool);
+            trace::StoreResult store =
+                trace::readTraceStore(p.string(), pool);
+            EXPECT_EQ(store.ok, parsed.ok);
+            EXPECT_EQ(store.error, parsed.error);
+            if (parsed.ok) {
+                ASSERT_EQ(store.store.size(), parsed.store.size());
+                EXPECT_EQ(trace::toCsv(store.store.materialize()),
+                          trace::toCsv(parsed.store.materialize()));
+            }
         }
     }
 }

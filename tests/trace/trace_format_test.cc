@@ -4,17 +4,22 @@
  * binary round trips are byte-identical across seeds, sizes, every
  * architecture and extreme feature magnitudes; parallel CSV parsing
  * is indistinguishable from serial (jobs and error line numbers
- * alike); malformed binary payloads fail with clean errors.
+ * alike); malformed binary payloads fail with clean errors; and a
+ * trace loads the same from memory, a regular file or a FIFO.
  *
  * Runs under `ctest -L trace`.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "paib_forge.h"
@@ -54,6 +59,15 @@ expectSameJobs(const std::vector<TrainingJob> &a,
                   fb.embedding_weight_bytes)
             << "job " << i;
     }
+}
+
+/** The jobs of a trace decoded in memory; a failure fails the test. */
+std::vector<TrainingJob>
+decodeJobs(std::string bytes)
+{
+    StoreResult r = parseTrace(std::move(bytes));
+    EXPECT_TRUE(r.ok) << r.error;
+    return r.store.materialize();
 }
 
 /** One job per architecture, pushing every numeric field to an edge. */
@@ -120,10 +134,9 @@ TEST(TraceFormatTest, BinaryRoundTripIsByteIdenticalAcrossSeedsAndSizes)
             SyntheticClusterGenerator gen(seed);
             auto jobs = gen.generate(n, nullptr);
             std::string bin = toBinary(jobs);
-            ParseResult r = fromBinary(bin);
-            ASSERT_TRUE(r.ok) << r.error;
-            expectSameJobs(jobs, r.jobs);
-            EXPECT_EQ(bin, toBinary(r.jobs))
+            auto decoded = decodeJobs(bin);
+            expectSameJobs(jobs, decoded);
+            EXPECT_EQ(bin, toBinary(decoded))
                 << "seed " << seed << " n " << n;
         }
     }
@@ -140,10 +153,9 @@ TEST(TraceFormatTest, AllArchesAndExtremeMagnitudesRoundTripExactly)
     EXPECT_EQ(csv, toCsv(rc.jobs));
 
     std::string bin = toBinary(jobs);
-    ParseResult rb = fromBinary(bin);
-    ASSERT_TRUE(rb.ok) << rb.error;
-    expectSameJobs(jobs, rb.jobs);
-    EXPECT_EQ(bin, toBinary(rb.jobs));
+    auto decoded = decodeJobs(bin);
+    expectSameJobs(jobs, decoded);
+    EXPECT_EQ(bin, toBinary(decoded));
 }
 
 TEST(TraceFormatTest, CsvNumberSpellingIsShortestToCharsForm)
@@ -184,11 +196,7 @@ TEST(TraceFormatTest, CsvAndBinaryAgree)
 {
     SyntheticClusterGenerator gen(7);
     auto jobs = gen.generate(200, nullptr);
-    ParseResult via_csv = fromCsv(toCsv(jobs));
-    ParseResult via_bin = fromBinary(toBinary(jobs));
-    ASSERT_TRUE(via_csv.ok) << via_csv.error;
-    ASSERT_TRUE(via_bin.ok) << via_bin.error;
-    expectSameJobs(via_csv.jobs, via_bin.jobs);
+    expectSameJobs(decodeJobs(toCsv(jobs)), decodeJobs(toBinary(jobs)));
 }
 
 TEST(TraceFormatTest, ParallelCsvParseMatchesSerial)
@@ -253,7 +261,7 @@ TEST(TraceFormatTest, BinaryRejectsBadMagic)
     SyntheticClusterGenerator gen(5);
     std::string bin = toBinary(gen.generate(10, nullptr));
     bin[0] = 'X';
-    ParseResult r = fromBinary(bin);
+    StoreResult r = viewBinary(bin, nullptr, nullptr);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("magic"), std::string::npos);
 }
@@ -263,7 +271,7 @@ TEST(TraceFormatTest, BinaryRejectsWrongVersion)
     SyntheticClusterGenerator gen(5);
     std::string bin = toBinary(gen.generate(10, nullptr));
     bin[4] = 42; // version little-endian low byte
-    ParseResult r = fromBinary(bin);
+    StoreResult r = parseTrace(bin);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("version"), std::string::npos);
     EXPECT_NE(r.error.find("42"), std::string::npos);
@@ -273,17 +281,17 @@ TEST(TraceFormatTest, BinaryRejectsTruncatedColumns)
 {
     SyntheticClusterGenerator gen(5);
     std::string bin = toBinary(gen.generate(10, nullptr));
-    ParseResult r = fromBinary(bin.substr(0, bin.size() - 16));
+    StoreResult r = parseTrace(bin.substr(0, bin.size() - 16));
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("truncated"), std::string::npos);
 
     // Header-only truncation.
-    ParseResult rh = fromBinary(bin.substr(0, 10));
+    StoreResult rh = parseTrace(bin.substr(0, 10));
     EXPECT_FALSE(rh.ok);
     EXPECT_NE(rh.error.find("truncated"), std::string::npos);
 
     // Trailing garbage is a size mismatch, not a silent accept.
-    ParseResult rt = fromBinary(bin + "junk");
+    StoreResult rt = parseTrace(bin + "junk");
     EXPECT_FALSE(rt.ok);
     EXPECT_NE(rt.error.find("mismatch"), std::string::npos);
 }
@@ -293,7 +301,7 @@ TEST(TraceFormatTest, BinaryRejectsChecksumMismatch)
     SyntheticClusterGenerator gen(5);
     std::string bin = toBinary(gen.generate(10, nullptr));
     bin[bin.size() / 2] ^= 0x40; // flip a bit inside a column
-    ParseResult r = fromBinary(bin);
+    StoreResult r = parseTrace(bin);
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("checksum"), std::string::npos);
 }
@@ -307,13 +315,13 @@ TEST(TraceFormatTest, BinaryRejectsInvalidJobValues)
     std::string bin = toBinary(jobs);
     size_t arch_col = 16 + jobs.size() * 8; // after the id column
 
-    ParseResult r = fromBinary(forge(bin, arch_col + 1, 17));
+    StoreResult r = parseTrace(forge(bin, arch_col + 1, 17));
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("job 1"), std::string::npos);
     EXPECT_NE(r.error.find("architecture"), std::string::npos);
 
     size_t cnode_col = arch_col + jobs.size();
-    ParseResult rc = fromBinary(forge(bin, cnode_col, 0));
+    StoreResult rc = parseTrace(forge(bin, cnode_col, 0));
     EXPECT_FALSE(rc.ok);
     EXPECT_NE(rc.error.find("num_cnodes"), std::string::npos);
 }
@@ -327,7 +335,7 @@ TEST(TraceFormatTest, TraceFormatNamesRoundTrip)
     EXPECT_FALSE(traceFormatFromString("json").has_value());
 }
 
-TEST(TraceFormatTest, ReadTraceFileAutoDetectsBothFormats)
+TEST(TraceFormatTest, ReadTraceStoreAutoDetectsBothFormats)
 {
     SyntheticClusterGenerator gen(13);
     auto jobs = gen.generate(64, nullptr);
@@ -339,35 +347,50 @@ TEST(TraceFormatTest, ReadTraceFileAutoDetectsBothFormats)
     ASSERT_TRUE(writeTraceFile(csv_path, jobs, TraceFormat::Csv));
     ASSERT_TRUE(writeTraceFile(bin_path, jobs, TraceFormat::Binary));
 
-    ParseResult rc = readTraceFile(csv_path);
+    StoreResult rc = readTraceStore(csv_path);
     ASSERT_TRUE(rc.ok) << rc.error;
-    expectSameJobs(jobs, rc.jobs);
+    expectSameJobs(jobs, rc.store.materialize());
 
-    ParseResult rb = readTraceFile(bin_path);
+    StoreResult rb = readTraceStore(bin_path);
     ASSERT_TRUE(rb.ok) << rb.error;
-    expectSameJobs(jobs, rb.jobs);
+    expectSameJobs(jobs, rb.store.materialize());
 
     std::remove(csv_path.c_str());
     std::remove(bin_path.c_str());
 }
 
-TEST(TraceFormatTest, ReadTraceFileReportsMissingFile)
+TEST(TraceFormatTest, ReadTraceStoreRejectsMissingFileAndDirectory)
 {
-    ParseResult r = readTraceFile("/nonexistent/paichar.paib");
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find("cannot open"), std::string::npos);
+    StoreResult missing = readTraceStore("/nonexistent/paichar.paib");
+    EXPECT_FALSE(missing.ok);
+    EXPECT_EQ(missing.error, "cannot open '/nonexistent/paichar.paib'");
+
+    // A directory is no regular file: it takes the read-to-EOF path,
+    // which must fail cleanly rather than size a buffer from it.
+    std::string dir = testing::TempDir();
+    for (int threads : {1, 4}) {
+        runtime::ThreadPool pool(threads);
+        StoreResult r = readTraceStore(dir, &pool);
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error, "cannot read '" + dir + "'");
+    }
 }
 
 // ---------------------------------------------------------------
-// readTraceStore: the zero-copy mmap path. Contract: accepts and
-// rejects *exactly* what readTraceFile does, with byte-identical
-// error text, while keeping paib traces columnar.
+// One loader, three ways in: parseTrace() on bytes in memory,
+// readTraceStore() on a regular file (mapped) and on a FIFO (read to
+// EOF). All must accept and reject exactly the same inputs, with
+// byte-identical error text, at every pool size.
 
-/** Write @p bytes to a fresh temp file and return its path. */
+/**
+ * Write @p bytes to a fresh temp file, unique to this process (ctest
+ * runs tests of this binary side by side), and return its path.
+ */
 std::string
 writeTemp(const std::string &name, const std::string &bytes)
 {
-    std::string path = testing::TempDir() + "/" + name;
+    std::string path = testing::TempDir() + "/" +
+                       std::to_string(::getpid()) + "_" + name;
     std::FILE *f = std::fopen(path.c_str(), "wb");
     EXPECT_NE(f, nullptr);
     if (!bytes.empty()) {
@@ -378,16 +401,53 @@ writeTemp(const std::string &name, const std::string &bytes)
     return path;
 }
 
-/** Both readers on one file; errors must agree byte for byte. */
-void
-expectStoreParity(const std::string &path)
+/**
+ * Load @p bytes through a FIFO that a writer thread feeds while
+ * readTraceStore() reads it, as `paichar characterize <(cat t.csv)`
+ * does.
+ */
+StoreResult
+loadThroughFifo(const std::string &bytes, runtime::ThreadPool *pool)
 {
-    ParseResult file = readTraceFile(path);
-    StoreResult store = readTraceStore(path);
-    EXPECT_EQ(file.ok, store.ok) << path;
-    EXPECT_EQ(file.error, store.error) << path;
-    if (file.ok)
-        expectSameJobs(file.jobs, store.store.materialize());
+    std::string path = testing::TempDir() + "/paichar_fifo_" +
+                       std::to_string(::getpid());
+    std::remove(path.c_str());
+    if (::mkfifo(path.c_str(), 0600) != 0) {
+        ADD_FAILURE() << "mkfifo " << path;
+        return {};
+    }
+    std::thread writer([&] {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(bytes.data(), 1, bytes.size(), f);
+        std::fclose(f);
+    });
+    StoreResult r = readTraceStore(path, pool);
+    writer.join();
+    std::remove(path.c_str());
+    return r;
+}
+
+/** Every way in must load @p bytes identically, at 1 and 4 threads. */
+void
+expectSameLoad(const std::string &bytes)
+{
+    std::string path = writeTemp("same_load.trace", bytes);
+    StoreResult ref = parseTrace(bytes);
+    for (int threads : {1, 4}) {
+        runtime::ThreadPool pool(threads);
+        for (const StoreResult &r :
+             {parseTrace(bytes, &pool), readTraceStore(path, &pool),
+              loadThroughFifo(bytes, &pool)}) {
+            EXPECT_EQ(r.ok, ref.ok);
+            EXPECT_EQ(r.error, ref.error);
+            if (ref.ok) {
+                expectSameJobs(ref.store.materialize(),
+                               r.store.materialize());
+            }
+        }
+    }
+    std::remove(path.c_str());
 }
 
 TEST(TraceFormatTest, StoreMatchesFileReaderOnValidInputs)
@@ -395,10 +455,14 @@ TEST(TraceFormatTest, StoreMatchesFileReaderOnValidInputs)
     SyntheticClusterGenerator gen(21);
     // 17 jobs: not a multiple of 8, so every column after the arch
     // bytes is misaligned — the store must still decode exactly.
-    for (size_t n : {size_t{0}, size_t{17}, size_t{256}}) {
+    // 3000 jobs: a CSV body of several parse chunks and a FIFO
+    // payload larger than a pipe buffer.
+    for (size_t n : {size_t{0}, size_t{17}, size_t{256},
+                     size_t{3000}}) {
+        SCOPED_TRACE("n " + std::to_string(n));
         auto jobs = gen.generate(n, nullptr);
-        expectStoreParity(writeTemp("store_ok.paib", toBinary(jobs)));
-        expectStoreParity(writeTemp("store_ok.csv", toCsv(jobs)));
+        expectSameLoad(toBinary(jobs));
+        expectSameLoad(toCsv(jobs));
     }
 }
 
@@ -409,12 +473,16 @@ TEST(TraceFormatTest, StoreKeepsPaibColumnarAndCsvOwned)
     std::string bin_path = writeTemp("store_col.paib", toBinary(jobs));
     std::string csv_path = writeTemp("store_col.csv", toCsv(jobs));
 
-    StoreResult bin = readTraceStore(bin_path);
-    ASSERT_TRUE(bin.ok) << bin.error;
-#if defined(__unix__) || defined(__APPLE__)
-    EXPECT_TRUE(bin.store.columnar());
-#endif
-    expectSameJobs(jobs, bin.store.materialize());
+    // Mapped, read from a FIFO or handed over in memory, a paib
+    // trace stays columnar over its own bytes.
+    for (const StoreResult &bin :
+         {readTraceStore(bin_path),
+          loadThroughFifo(toBinary(jobs), nullptr),
+          parseTrace(toBinary(jobs))}) {
+        ASSERT_TRUE(bin.ok) << bin.error;
+        EXPECT_TRUE(bin.store.columnar());
+        expectSameJobs(jobs, bin.store.materialize());
+    }
 
     StoreResult csv = readTraceStore(csv_path);
     ASSERT_TRUE(csv.ok) << csv.error;
@@ -430,35 +498,29 @@ TEST(TraceFormatTest, StoreRejectionsMatchFileReaderByteForByte)
     auto jobs = gen.generate(24, nullptr);
     std::string bin = toBinary(jobs);
 
-    // Every malformed-paib class the buffered reader rejects.
-    expectStoreParity(
-        writeTemp("store_trunc.paib", bin.substr(0, bin.size() - 16)));
-    expectStoreParity(
-        writeTemp("store_hdr.paib", bin.substr(0, 10)));
-    expectStoreParity(writeTemp("store_junk.paib", bin + "junk"));
+    // Every malformed-paib class.
+    expectSameLoad(bin.substr(0, bin.size() - 16));
+    expectSameLoad(bin.substr(0, 10));
+    expectSameLoad(bin + "junk");
     {
         std::string bad = bin;
         bad[bad.size() / 2] ^= 0x40;
-        expectStoreParity(writeTemp("store_sum.paib", bad));
+        expectSameLoad(bad);
     }
     {
         std::string bad = bin;
         bad[4] = 42; // unsupported version
-        expectStoreParity(writeTemp("store_ver.paib", bad));
+        expectSameLoad(bad);
     }
     // Valid envelope, invalid row values (checksum forged back).
     size_t arch_col = 16 + jobs.size() * 8;
-    expectStoreParity(
-        writeTemp("store_row.paib", forge(bin, arch_col + 2, 17)));
-    // Malformed CSV goes through the same fallback parser.
-    expectStoreParity(
-        writeTemp("store_bad.csv", "id,arch\nnot,a,trace\n"));
-
-    StoreResult missing = readTraceStore("/nonexistent/paichar.paib");
-    ParseResult missing_file =
-        readTraceFile("/nonexistent/paichar.paib");
-    EXPECT_FALSE(missing.ok);
-    EXPECT_EQ(missing.error, missing_file.error);
+    expectSameLoad(forge(bin, arch_col + 2, 17));
+    // Malformed CSV, early and past the first parse chunk.
+    expectSameLoad("id,arch\nnot,a,trace\n");
+    std::string csv = toCsv(gen.generate(3000, nullptr));
+    csv[csv.size() - 40] = 'x';
+    expectSameLoad(csv);
+    expectSameLoad("");
 }
 
 TEST(TraceFormatTest, StoreParallelRowValidationMatchesSerial)

@@ -138,18 +138,45 @@ TEST(TraceIoTest, FileRoundTrip)
     SyntheticClusterGenerator gen(11);
     auto jobs = gen.generate(50);
     std::string path = testing::TempDir() + "/paichar_trace_test.csv";
-    ASSERT_TRUE(writeCsvFile(path, jobs));
-    ParseResult r = readCsvFile(path);
+    ASSERT_TRUE(writeTraceFile(path, jobs, TraceFormat::Csv));
+    StoreResult r = readTraceStore(path);
     ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_EQ(r.jobs.size(), 50u);
+    EXPECT_EQ(toCsv(r.store.materialize()), toCsv(jobs));
     std::remove(path.c_str());
 }
 
 TEST(TraceIoTest, MissingFileReportsError)
 {
-    ParseResult r = readCsvFile("/nonexistent/paichar.csv");
+    StoreResult r = readTraceStore("/nonexistent/paichar.csv");
     EXPECT_FALSE(r.ok);
     EXPECT_NE(r.error.find("cannot open"), std::string::npos);
+}
+
+TEST(TraceIoTest, RejectsCountsOutsideInt32)
+{
+    // The paib columns are int32: a wider count used to wrap on the
+    // way in ("4294967297" read as 1 cNode).
+    const std::string header = toCsv({});
+    for (const char *cnodes : {"2147483648", "4294967297",
+                               "9223372036854775807"}) {
+        ParseResult r = fromCsv(header + "1,1w1g," + cnodes +
+                                ",0,32,1,1,1,0,0,10,0\n");
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error, std::string("line 2: bad num_cnodes '") +
+                               cnodes + "'");
+    }
+    for (const char *ps : {"2147483648", "4294967296"}) {
+        ParseResult r = fromCsv(header + "1,PS/Worker,2," + ps +
+                                ",32,1,1,1,0,0,10,0\n");
+        EXPECT_FALSE(r.ok);
+        EXPECT_EQ(r.error,
+                  std::string("line 2: bad num_ps '") + ps + "'");
+    }
+    ParseResult max = fromCsv(
+        header + "1,PS/Worker,2147483647,2147483647,32,1,1,1,0,0,10,0\n");
+    ASSERT_TRUE(max.ok) << max.error;
+    EXPECT_EQ(max.jobs[0].num_cnodes, 2147483647);
+    EXPECT_EQ(max.jobs[0].num_ps, 2147483647);
 }
 
 TEST(TraceIoTest, FuzzedMutationsNeverCrash)
