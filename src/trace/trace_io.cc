@@ -105,7 +105,7 @@ struct ChunkOutcome
 const char *
 parseLine(const char *p, const char *end, TrainingJob &j, size_t &bad)
 {
-    auto fail = [&bad](size_t field) -> const char * {
+    auto failAt = [&bad](size_t field) -> const char * {
         bad = field;
         return nullptr;
     };
@@ -124,7 +124,7 @@ parseLine(const char *p, const char *end, TrainingJob &j, size_t &bad)
 
     if (!intField(std::numeric_limits<int64_t>::min(),
                   std::numeric_limits<int64_t>::max()))
-        return fail(0);
+        return failAt(0);
     j.id = iv;
 
     const char *c = static_cast<const char *>(
@@ -133,15 +133,15 @@ parseLine(const char *p, const char *end, TrainingJob &j, size_t &bad)
                         {p, static_cast<size_t>(c - p)})
                   : std::nullopt;
     if (!arch)
-        return fail(1);
+        return failAt(1);
     j.arch = *arch;
     p = c + 1;
 
     if (!intField(1, kInt32Max))
-        return fail(2);
+        return failAt(2);
     j.num_cnodes = static_cast<int>(iv);
     if (!intField(0, kInt32Max))
-        return fail(3);
+        return failAt(3);
     j.num_ps = static_cast<int>(iv);
 
     // Unrolled so each value lands straight in its member instead of
@@ -151,11 +151,11 @@ parseLine(const char *p, const char *end, TrainingJob &j, size_t &bad)
         auto rd = std::from_chars(p, end, j.features.member);         \
         if (rd.ec != std::errc() ||                                   \
             !std::isfinite(j.features.member))                        \
-            return fail(field);                                       \
+            return failAt(field);                                     \
         p = rd.ptr;                                                   \
         if (delim) {                                                  \
             if (p == end || *p != ',')                                \
-                return fail(field);                                   \
+                return failAt(field);                                 \
             ++p;                                                      \
         }                                                             \
     }
@@ -175,11 +175,11 @@ parseLine(const char *p, const char *end, TrainingJob &j, size_t &bad)
         } else if (*p == '\r' && (p + 1 == end || p[1] == '\n')) {
             p += (p + 1 == end) ? 1 : 2;
         } else {
-            return fail(kFields - 1); // extra fields or trailing junk
+            return failAt(kFields - 1); // extra fields or trailing junk
         }
     }
     if (!j.features.valid())
-        return fail(kFields);
+        return failAt(kFields);
     return p;
 }
 
